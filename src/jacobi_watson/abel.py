@@ -17,6 +17,7 @@ from .kernels import AbelParameter, watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import (
     JacobiParams,
+    _jacobi_rows,
     jacobi_eval,
     jacobi_norm_sequence,
     jacobi_weighted_sum,
@@ -138,8 +139,8 @@ def fourier_jacobi_coefficients(
     """Coefficients c(n) = (1/h_n) int f P_n dJ for n = 0..degree.
 
     order is the quadrature size; it must be at least degree + 1 so the rule
-    resolves every projected polynomial. The projection loop streams the
-    recurrence, so no (degree x order) table is materialized.
+    resolves every projected polynomial. The projection streams the shared
+    recurrence of `polynomials`, so no (degree x order) table is materialized.
     """
     if degree < 0:
         raise DomainError(f"need degree >= 0, got {degree}")
@@ -151,20 +152,9 @@ def fourier_jacobi_coefficients(
     x, w = _measure_rule(p, order, breakpoints)
     wf = w * f(x)
     h = jacobi_norm_sequence(p, degree)
-    a, b = p.alpha, p.beta
     coeffs = np.empty(degree + 1)
-    prev = np.ones_like(x)
-    coeffs[0] = np.dot(wf, prev) / h[0]
-    if degree >= 1:
-        cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-        coeffs[1] = np.dot(wf, cur) / h[1]
-        for n in range(2, degree + 1):
-            c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-            c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-            c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-            c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-            prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
-            coeffs[n] = np.dot(wf, cur) / h[n]
+    for n, row in enumerate(_jacobi_rows(p, degree, x)):
+        coeffs[n] = np.dot(wf, row) / h[n]
     return Expansion(params=p, coeffs=coeffs)
 
 

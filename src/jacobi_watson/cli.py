@@ -31,10 +31,10 @@ from .errors import (
 from .kernels import (
     AbelParameter,
     BaileyArguments,
+    _series_pairs,
     kernel_mass,
     watson_kernel_bailey,
     watson_kernel_integral,
-    watson_kernel_series,
     watson_series_matrix,
 )
 from .measure import WeightedMeasure
@@ -106,6 +106,9 @@ class RunConfig:
             raise DomainError(
                 f"suite {self.suite!r} not in {SUITES[self.command]} for {self.command}"
             )
+        if self.suite == "grid" and self.fmt != "csv":
+            # a grid has no checks, so a JSON report of it would pass vacuously
+            raise DomainError("suite 'grid' emits CSV only; pass --format csv")
         _parse_measure(self.measure)  # fail fast on a bad measure spec
 
     def echo(self) -> dict:
@@ -188,14 +191,13 @@ def _suite_kernel(cfg: RunConfig) -> Report:
         xs = np.linspace(-0.9, 0.9, 8)
         for r in cfg.r_grid:
             ab = AbelParameter(r)
+            pairs = [(x, y) for x in xs for y in xs
+                     if BaileyArguments.from_points(ab, x, y).margin > 0.1]
+            series, _, _ = _series_pairs(p, r, *np.array(pairs).T)
             worst = 0.0
-            for x in xs:
-                for y in xs:
-                    if BaileyArguments.from_points(ab, x, y).margin <= 0.1:
-                        continue
-                    a = watson_kernel_series(p, ab, x, y).value
-                    b = watson_kernel_bailey(p, ab, x, y).value
-                    worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+            for (x, y), a in zip(pairs, series):
+                b = watson_kernel_bailey(p, ab, x, y).value
+                worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
             rep.add(
                 f"series-vs-product r={r:g}",
                 "dual-route-agreement",
@@ -205,8 +207,9 @@ def _suite_kernel(cfg: RunConfig) -> Report:
             )
             if p.alpha + p.beta > -1.0:
                 worst = 0.0
-                for x in np.linspace(-0.8, 0.8, 3):
-                    a = watson_kernel_series(p, ab, x, 0.3).value
+                xi = np.linspace(-0.8, 0.8, 3)
+                series, _, _ = _series_pairs(p, r, xi, 0.3)
+                for x, a in zip(xi, series):
                     c = watson_kernel_integral(p, ab, x, 0.3).value
                     worst = max(worst, abs(a - c) / max(abs(a), 1e-300))
                 rep.add(
@@ -224,10 +227,8 @@ def _grid_kernel(cfg: RunConfig):
     rows = []
     xs = _x_grid(cfg)
     for r in cfg.r_grid:
-        ab = AbelParameter(r)
-        for x in xs:
-            ev = watson_kernel_series(p, ab, float(x), cfg.y_point)
-            rows.append((x, r, ev.value, ev.method, ev.error_estimate))
+        values, _, tail = _series_pairs(p, r, xs, cfg.y_point)
+        rows.extend((x, r, v, "series", tail) for x, v in zip(xs, values))
     return rows
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, RegimeError
-from .kernels import AbelParameter, watson_series_matrix
+from .kernels import AbelParameter, WatsonGeometry, watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import JacobiParams
 from .quadrature import interval_rule, sqrt_left_rule
@@ -419,10 +419,8 @@ def sxy_inequalities_check(n: int = 40, r_points: int = 24) -> dict:
     mn = np.minimum(x, y) + 0.0 * s
     mx = np.maximum(x, y) + 0.0 * s
     s2 = s * s
-    y2 = (0.5 * (x - y)) ** 2 + (s2 - 1.0) * (s2 - x * y)
-    yg = np.sqrt(np.maximum(y2, 0.0))
-    z1 = s2 - 0.5 * (x + y) + yg
-    z2 = s2 + 0.5 * (x + y) + yg
+    geo = WatsonGeometry(s, x, y)
+    y2, z1, z2 = geo.Y2, geo.Z1, geo.Z2
     report: dict = {}
 
     def _sup_ratio(num, den):

@@ -10,7 +10,7 @@ differentiated in r. The three routes are independent and cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
 from .polynomials import (
     JacobiParams,
     _growth_constant,
+    _norm_ratio,
     gauss_jacobi_rule,
     jacobi_eval_table,
     jacobi_norm,
@@ -94,25 +95,29 @@ class AbelParameter:
 
 @dataclass(frozen=True)
 class WatsonGeometry:
-    """The quantities Y, Z1, Z2 entering the integral representation."""
+    """The quantities Y, Z1, Z2 entering the integral representation.
+
+    s, x, y may be scalars or arrays that broadcast together; the derived
+    fields are computed once, at construction, with the broadcast shape
+    (plain floats when every input is a scalar). Y2 is Y^2 before the clamp
+    at zero and the square root.
+    """
 
     s: float
     x: float
     y: float
+    Y2: float = field(init=False, repr=False, compare=False)
+    Y: float = field(init=False, repr=False, compare=False)
+    Z1: float = field(init=False, repr=False, compare=False)
+    Z2: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def Y(self) -> float:
+    def __post_init__(self):
         s2 = self.s * self.s
-        val = (0.5 * (self.x - self.y)) ** 2 + (s2 - 1.0) * (s2 - self.x * self.y)
-        return math.sqrt(max(val, 0.0))
-
-    @property
-    def Z1(self) -> float:
-        return self.s * self.s - 0.5 * (self.x + self.y) + self.Y
-
-    @property
-    def Z2(self) -> float:
-        return self.s * self.s + 0.5 * (self.x + self.y) + self.Y
+        y2 = (0.5 * (self.x - self.y)) ** 2 + (s2 - 1.0) * (s2 - self.x * self.y)
+        geo = np.sqrt(np.maximum(y2, 0.0))
+        mid = 0.5 * (self.x + self.y)
+        for name, val in zip(("Y2", "Y", "Z1", "Z2"), (y2, geo, s2 - mid + geo, s2 + mid + geo)):
+            object.__setattr__(self, name, float(val) if np.ndim(val) == 0 else val)
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,13 @@ def _series_budget(p: JacobiParams, r: float, tol_abs: float, max_terms: int):
     the exact norm recurrence; the tail is closed geometrically once the term
     ratio has settled below 1.
     """
-    a, b = p.alpha, p.beta
     q_eff = max(p.q, -0.5)
     c2 = _growth_sq(p)
     h = jacobi_norm(p, 1)
     bound = c2 * r / h
     n = 1
     while n < max_terms:
-        s = 2.0 * n + a + b
-        h_ratio = (s + 1.0) / (s + 3.0) * ((n + a + 1.0) * (n + b + 1.0)) / (
-            (n + 1.0) * (n + a + b + 1.0)
-        )
-        rho = r * ((n + 1.0) / n) ** (2.0 * q_eff + 1.0) / h_ratio
+        rho = r * ((n + 1.0) / n) ** (2.0 * q_eff + 1.0) / _norm_ratio(p, n)
         next_bound = bound * rho
         if rho < 0.995 and next_bound / (1.0 - rho) < tol_abs:
             return n, next_bound / (1.0 - rho)
@@ -223,16 +223,29 @@ def watson_kernel_series(
     max_terms: int = 100000,
 ) -> KernelEval:
     """Direct summation of sum_n r^n P_n(x) P_n(y) / h_n with a certified tail."""
-    if not (-1.0 <= x <= 1.0 and -1.0 <= y <= 1.0):
-        raise DomainError(f"need x, y in [-1, 1], got ({x}, {y})")
-    r = ab.r
+    values, n_terms, tail = _series_pairs(p, ab.r, x, y, tol, max_terms)
+    return KernelEval(value=values[0], method="series", terms=n_terms, error_estimate=tail)
+
+
+def _series_pairs(p: JacobiParams, r: float, x, y, tol: float = 1e-10, max_terms: int = 100000):
+    """Series kernel K(r, x_i, y_i) for each pair of the broadcast x and y.
+
+    All pairs share one certified truncation and one recurrence pass. Each
+    value is the pairwise sum over one table row, so a batch gives the same
+    bits as one-pair calls. Returns (values, n_terms, tail_bound).
+    """
+    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+    outside = ~((np.abs(x) <= 1.0) & (np.abs(y) <= 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DomainError(f"need x, y in [-1, 1], got ({x[i]}, {y[i]})")
     scale = max(1.0, 1.0 / jacobi_norm(p, 0))
     n_terms, tail = _series_budget(p, r, tol * scale, max_terms)
-    tab = jacobi_eval_table(p, n_terms, np.array([x, y]))
+    rows = np.ascontiguousarray(jacobi_eval_table(p, n_terms, np.concatenate([x, y])).T)
     h = jacobi_norm_sequence(p, n_terms)
     powers = r ** np.arange(n_terms + 1)
-    value = float(np.sum(powers * tab[:, 0] * tab[:, 1] / h))
-    return KernelEval(value=value, method="series", terms=n_terms, error_estimate=tail)
+    pairs = zip(rows[: x.size], rows[x.size :])
+    return [float(np.sum(powers * tx * ty / h)) for tx, ty in pairs], n_terms, tail
 
 
 def watson_series_matrix(
@@ -377,41 +390,25 @@ def _omega_integral(p: JacobiParams, k: float, x: float, y: float) -> float:
     power = 2.0 + a + b
     dz = a - b
 
-    def core(s):
-        geo = np.sqrt(
-            np.maximum((0.5 * (x - y)) ** 2 + (s * s - 1.0) * (s * s - x * y), 0.0)
-        )
-        z1 = s * s - 0.5 * (x + y) + geo
-        z2 = s * s + 0.5 * (x + y) + geo
+    def factor(s, root):
+        # shared integrand; each part passes the square-root factor it divides by
+        g = WatsonGeometry(s, x, y)
         ang = np.arccos(np.clip(k / s, -1.0, 1.0))
         return (
             (s / k) ** power
             * np.cos(dz * ang)
-            / (z1**a * z2**b * geo)
+            / (g.Z1**a * g.Z2**b * g.Y)
             * k
-            / (s * np.sqrt(s + k))
+            / (s * root)
         )
 
     # near part: s in [k, k+1], 1/sqrt(s-k) handled by the substitution rule
     s1, w1 = sqrt_left_rule(k, k + 1.0, layer=max(k - 1.0, 1e-14))
-    near = float(np.dot(w1, core(s1)))
+    near = float(np.dot(w1, factor(s1, np.sqrt(s1 + k))))
     # far part: s = k + 1/v^2 ... use v = 1/s with endpoint exponent a+b
     def far_integrand(v):
         s = 1.0 / v
-        geo = np.sqrt(
-            np.maximum((0.5 * (x - y)) ** 2 + (s * s - 1.0) * (s * s - x * y), 0.0)
-        )
-        z1 = s * s - 0.5 * (x + y) + geo
-        z2 = s * s + 0.5 * (x + y) + geo
-        ang = np.arccos(np.clip(k / s, -1.0, 1.0))
-        val = (
-            (s / k) ** power
-            * np.cos(dz * ang)
-            / (z1**a * z2**b * geo)
-            * k
-            / (s * np.sqrt(s * s - k * k))
-        )
-        return val / (v * v)
+        return factor(s, np.sqrt(s * s - k * k)) / (v * v)
 
     v_nodes, v_weights = interval_rule(0.0, 1.0 / (k + 1.0), 48, e_left=a + b)
     far = float(np.dot(v_weights, far_integrand(v_nodes)))

@@ -2,7 +2,9 @@
 
 The polynomials P_n are normalized so that P_n(1) = C(n+alpha, n). Everything
 downstream (kernels, expansions, maximal functions) is built on the evaluation
-table produced here and on the quadrature rules.
+table produced here and on the quadrature rules. The three-term recurrence
+lives only in `_jacobi_rows` and the norm ratio h_{n+1}/h_n only in
+`_norm_ratio`; every other module calls them.
 """
 
 from __future__ import annotations
@@ -64,27 +66,42 @@ def binomial_real(top: float, n: int) -> float:
     )
 
 
-def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
-    """Table P_n(x) for n = 0..n_max by the three-term recurrence.
+def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
+    """Yield P_0(x), P_1(x), ..., P_{n_max}(x) by the three-term recurrence.
 
-    Returns an array of shape (n_max+1, len(x)). The recurrence coefficients
-    are nonzero for n >= 2 whenever alpha, beta > -1; n = 1 uses the explicit
-    linear polynomial, so the alpha+beta = 0 degeneracy never divides by zero.
+    This is the library's one copy of the recurrence: tables, single
+    evaluations, weighted sums and coefficient projections all consume it.
+    Only two rows are alive at a time. The recurrence coefficients are nonzero
+    for n >= 2 whenever alpha, beta > -1; n = 1 uses the explicit linear
+    polynomial, so the alpha+beta = 0 degeneracy never divides by zero.
     """
-    if n_max < 0:
-        raise DomainError(f"need n_max >= 0, got {n_max}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b = p.alpha, p.beta
-    out = np.empty((n_max + 1, x.size), dtype=float)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    prev = np.ones_like(x)
+    yield prev
+    if n_max < 1:
+        return
+    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    yield cur
     for n in range(2, n_max + 1):
         c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
         c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        out[n] = ((c1 + c2 * x) * out[n - 1] - c3 * out[n - 2]) / c0
+        prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
+        yield cur
+
+
+def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
+    """Table P_n(x) for n = 0..n_max by the three-term recurrence.
+
+    Returns an array of shape (n_max+1, len(x)).
+    """
+    if n_max < 0:
+        raise DomainError(f"need n_max >= 0, got {n_max}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((n_max + 1, x.size), dtype=float)
+    for n, row in enumerate(_jacobi_rows(p, n_max, x)):
+        out[n] = row
     return out
 
 
@@ -94,18 +111,8 @@ def jacobi_eval(p: JacobiParams, n: int, x):
         raise DomainError(f"need n >= 0, got {n}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    xv = np.atleast_1d(arr)
-    a, b = p.alpha, p.beta
-    prev = np.ones_like(xv)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * xv
-    for m in range(2, n + 1):
-        c0 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-        c1 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-        c2 = (2.0 * m + a + b - 1.0) * (2.0 * m + a + b) * (2.0 * m + a + b - 2.0)
-        c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        prev, cur = cur, ((c1 + c2 * xv) * cur - c3 * prev) / c0
+    for cur in _jacobi_rows(p, n, np.atleast_1d(arr)):
+        pass
     return float(cur[0]) if scalar else cur
 
 
@@ -125,19 +132,10 @@ def jacobi_weighted_sum(p: JacobiParams, weights, x) -> np.ndarray:
     n_terms = w.shape[1]
     if n_terms == 0:
         raise DomainError("empty coefficient vector")
-    a, b = p.alpha, p.beta
-    prev = np.ones_like(x)
-    acc = w[:, 0][:, None] * prev
-    if n_terms >= 2:
-        cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-        acc += w[:, 1][:, None] * cur
-        for n in range(2, n_terms):
-            c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-            c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-            c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-            c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-            prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
-            acc += w[:, n][:, None] * cur
+    rows = _jacobi_rows(p, n_terms - 1, x)
+    acc = w[:, 0][:, None] * next(rows)
+    for n, cur in enumerate(rows, start=1):
+        acc += w[:, n][:, None] * cur
     return acc if matrix else acc[0]
 
 
@@ -171,7 +169,6 @@ def jacobi_norm(p: JacobiParams, n: int) -> float:
 
 def jacobi_norm_sequence(p: JacobiParams, n_max: int) -> np.ndarray:
     """h_n for n = 0..n_max, computed by the stable ratio recurrence."""
-    a, b = p.alpha, p.beta
     h = np.empty(n_max + 1, dtype=float)
     h[0] = jacobi_norm(p, 0)
     if n_max >= 1:
@@ -179,14 +176,17 @@ def jacobi_norm_sequence(p: JacobiParams, n_max: int) -> np.ndarray:
         # recurrence from the directly computed h_1
         h[1] = jacobi_norm(p, 1)
     for n in range(1, n_max):
-        s = 2.0 * n + a + b
-        h[n + 1] = h[n] * (
-            (s + 1.0)
-            / (s + 3.0)
-            * ((n + a + 1.0) * (n + b + 1.0))
-            / ((n + 1.0) * (n + a + b + 1.0))
-        )
+        h[n + 1] = h[n] * _norm_ratio(p, n)
     return h
+
+
+def _norm_ratio(p: JacobiParams, n: int) -> float:
+    """h_{n+1} / h_n for n >= 1 (at n = 0 it degenerates when a+b+1 = 0)."""
+    a, b = p.alpha, p.beta
+    s = 2.0 * n + a + b
+    return (s + 1.0) / (s + 3.0) * ((n + a + 1.0) * (n + b + 1.0)) / (
+        (n + 1.0) * (n + a + b + 1.0)
+    )
 
 
 def jacobi_function_eval(p: JacobiParams, n: int, x):
@@ -220,16 +220,13 @@ def growth_bound_probe(p: JacobiParams, n_max: int, grid_size: int = 400) -> flo
         )
     if n_max < 1:
         raise DomainError(f"need n_max >= 1, got {n_max}")
-    x = np.cos(np.linspace(0.0, np.pi, grid_size))
-    table = jacobi_eval_table(p, n_max, x)
-    n = np.arange(1, n_max + 1, dtype=float)
-    return float(np.max(np.abs(table[1:]) / n[:, None] ** (p.q + 0.5)))
+    return _growth_constant(p, n_max, grid_size)
 
 
-def _growth_constant(p: JacobiParams, n_max: int = 64) -> float:
+def _growth_constant(p: JacobiParams, n_max: int = 64, grid_size: int = 200) -> float:
     """Internal growth-constant fit with q clamped to -1/2 (valid for all params)."""
     q_eff = max(p.q, -0.5)
-    x = np.cos(np.linspace(0.0, np.pi, 200))
+    x = np.cos(np.linspace(0.0, np.pi, grid_size))
     table = jacobi_eval_table(p, n_max, x)
     n = np.arange(1, n_max + 1, dtype=float)
     return float(np.max(np.abs(table[1:]) / n[:, None] ** (q_eff + 0.5)))

@@ -36,7 +36,8 @@ def gauss_legendre(n: int):
 @lru_cache(maxsize=512)
 def _gauss_jacobi_raw(n: int, alpha: float, beta: float):
     if alpha == 0.0 and beta == 0.0:
-        # roots_legendre has a fast large-n path; roots_jacobi does not
+        # not for speed (roots_jacobi(n, 0, 0) calls roots_legendre itself):
+        # sharing gauss_legendre's cache keeps one copy of each Legendre rule
         return gauss_legendre(n)
     x, w = special.roots_jacobi(n, alpha, beta)
     x.setflags(write=False)
