@@ -17,6 +17,7 @@ from .kernels import AbelParameter, watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import (
     JacobiParams,
+    _half_weight,
     _jacobi_rows,
     jacobi_eval,
     jacobi_norm_sequence,
@@ -99,12 +100,7 @@ def test_function_family(p: JacobiParams):
         TestFunction("const", lambda x: np.ones_like(x)),
         TestFunction("sign", np.sign, breakpoints=(0.0,)),
         TestFunction("pk:3", lambda x: jacobi_eval(p, 3, x)),
-        TestFunction(
-            "fk:3",
-            lambda x: jacobi_eval(p, 3, x)
-            * (1.0 - x) ** (0.5 * p.alpha)
-            * (1.0 + x) ** (0.5 * p.beta),
-        ),
+        TestFunction("fk:3", lambda x: jacobi_eval(p, 3, x) * _half_weight(p, x)),
         TestFunction("bump", lambda x: np.exp(-0.5 * (x / 0.1) ** 2)),
         # the clip at 10 puts the kink where (1-x)^(-0.2) crosses it
         TestFunction("clipped", clipped, breakpoints=(1.0 - 1e-5,)),
@@ -248,7 +244,7 @@ def modified_abel_mean(
     """
     r = ab.r
     el, er = f_exponents
-    wx = (1.0 - x) ** (0.5 * p.alpha) * (1.0 + x) ** (0.5 * p.beta)
+    wx = _half_weight(p, x)
     if route == "halfweight":
         ynodes, yweights = _gauss_jacobi_raw(order, 0.5 * p.alpha + er, 0.5 * p.beta + el)
         row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
@@ -263,8 +259,7 @@ def modified_abel_mean(
     pts.update(graded_breakpoints(-1.0, 1.0, lean_left=False, min_scale=1e-12))
     ynodes, yweights = composite_rule(sorted(pts), max(12, order // 8))
     row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
-    wy = (1.0 - ynodes) ** (0.5 * p.alpha) * (1.0 + ynodes) ** (0.5 * p.beta)
-    return wx * float(np.dot(yweights, row[0] * wy * f(ynodes)))
+    return wx * float(np.dot(yweights, row[0] * _half_weight(p, ynodes) * f(ynodes)))
 
 
 def default_r_grid(levels: int = 12) -> np.ndarray:

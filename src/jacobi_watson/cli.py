@@ -1,9 +1,10 @@
 """Command-line front end: verification suites and plot-ready grids.
 
-Each subcommand dispatches to one module's checks and emits a report whose
-JSON form is byte-stable for a fixed configuration and seed (timing is only
-embedded on request). Exit status: 0 when every hard check passes, 1 when a
-check fails or a computation diverges, 2 for unusable configuration.
+One table, `SUITES`, names every command and its suites and maps each suite
+to the function that runs its checks. Every run emits a report whose JSON form
+is byte-stable for a fixed configuration and seed (timing is only embedded on
+request). Exit status: 0 when every hard check passes, 1 when a check fails or
+a computation diverges, 2 for unusable configuration.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,22 +52,6 @@ _NUMERIC_ERRORS = (
     ZeroDivisionError,
 )
 
-SUITES = {
-    "kernel": ("mass", "positivity", "crossval", "grid"),
-    "abel": ("mean", "maximal", "lp", "grid"),
-    "cz": ("decompose",),
-    "weights": ("identity", "power", "jacobi-a1", "ap", "divergence"),
-    "estimates": (
-        "poisson",
-        "dyadic",
-        "auxiliary",
-        "shift",
-        "mainest",
-        "joperator",
-        "sxy",
-    ),
-}
-
 
 @dataclass
 class RunConfig:
@@ -89,7 +73,6 @@ class RunConfig:
     out: str = ""
     fmt: str = "json"
     timing: bool = False
-    threads: int = 1
 
     def validate(self) -> None:
         if not (self.alpha > -1.0 and self.beta > -1.0):
@@ -102,14 +85,17 @@ class RunConfig:
             raise DomainError(f"tolerance must be positive, got {self.tol}")
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be json or csv, got {self.fmt!r}")
-        if self.command in SUITES and self.suite not in SUITES[self.command]:
-            raise DomainError(
-                f"suite {self.suite!r} not in {SUITES[self.command]} for {self.command}"
-            )
-        if self.suite == "grid" and self.fmt != "csv":
-            # a grid has no checks, so a JSON report of it would pass vacuously
-            raise DomainError("suite 'grid' emits CSV only; pass --format csv")
+        runners = SUITES.get(self.command)
+        if runners is not None:
+            if self.suite not in runners:
+                raise DomainError(
+                    f"suite {self.suite!r} not in {tuple(runners)} for {self.command}"
+                )
+            if runners[self.suite] is None and self.fmt != "csv":
+                # a grid has no checks, so a JSON report of it would pass vacuously
+                raise DomainError(f"suite {self.suite!r} emits CSV only; pass --format csv")
         _parse_measure(self.measure)  # fail fast on a bad measure spec
+        _pick_function(self, self.params)  # and on an unknown test function
 
     def echo(self) -> dict:
         return {
@@ -134,6 +120,9 @@ class RunConfig:
         return JacobiParams(self.alpha, self.beta)
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
 def _parse_measure(spec: str) -> WeightedMeasure:
     head, _, rest = spec.partition(":")
     try:
@@ -153,18 +142,17 @@ def _parse_measure(spec: str) -> WeightedMeasure:
 
 
 def _pick_function(cfg: RunConfig, p: JacobiParams):
-    for tf in abel.test_function_family(p):
-        if tf.tag == cfg.f_name:
-            return tf
-    names = [tf.tag for tf in abel.test_function_family(p)]
-    raise DomainError(f"unknown test function {cfg.f_name!r}; have {names}")
+    family = {tf.tag: tf for tf in abel.test_function_family(p)}
+    if cfg.f_name not in family:
+        raise DomainError(f"unknown test function {cfg.f_name!r}; have {list(family)}")
+    return family[cfg.f_name]
 
 
-def _x_grid(cfg: RunConfig, lo=-1.0, hi=1.0, jitter=False):
-    xs = np.linspace(lo, hi, cfg.x_points)
+def _x_grid(cfg: RunConfig, jitter=False):
+    xs = np.linspace(-1.0, 1.0, cfg.x_points)
     if jitter and cfg.x_points > 2:
         rng = np.random.default_rng(cfg.seed)
-        h = (hi - lo) / (cfg.x_points - 1)
+        h = 2.0 / (cfg.x_points - 1)
         xs[1:-1] = xs[1:-1] + 0.4 * h * rng.uniform(-1.0, 1.0, cfg.x_points - 2)
     return xs
 
@@ -172,54 +160,57 @@ def _x_grid(cfg: RunConfig, lo=-1.0, hi=1.0, jitter=False):
 # ---- kernel ------------------------------------------------------------------
 
 
-def _suite_kernel(cfg: RunConfig) -> Report:
-    rep = Report("kernel", cfg.echo())
+def _kernel_mass(cfg: RunConfig, rep: Report) -> None:
     p = cfg.params
-    if cfg.suite == "mass":
-        xs = np.linspace(-0.9, 0.9, 5)
-        for r in cfg.r_grid:
-            tol = 1e-8 if r <= 0.95 else 1e-6
-            worst = max(abs(kernel_mass(p, AbelParameter(r), x) - 1.0) for x in xs)
-            rep.add(f"mass r={r:g}", "mass-conservation", worst, tol, worst <= tol)
-    elif cfg.suite == "positivity":
-        xs = _x_grid(cfg, jitter=True)
-        for r in cfg.r_grid:
-            mat, _, _ = watson_series_matrix(p, r, xs, xs)
-            low = float(mat.min())
-            rep.add(f"min r={r:g}", "kernel-nonnegative", low, -1e-10, low >= -1e-10)
-    elif cfg.suite == "crossval":
-        xs = np.linspace(-0.9, 0.9, 8)
-        for r in cfg.r_grid:
-            ab = AbelParameter(r)
-            pairs = [(x, y) for x in xs for y in xs
-                     if BaileyArguments.from_points(ab, x, y).margin > 0.1]
-            series, _, _ = _series_pairs(p, r, *np.array(pairs).T)
+    xs = np.linspace(-0.9, 0.9, 5)
+    for r in cfg.r_grid:
+        tol = 1e-8 if r <= 0.95 else 1e-6
+        worst = max(abs(kernel_mass(p, AbelParameter(r), x) - 1.0) for x in xs)
+        rep.add(f"mass r={r:g}", "mass-conservation", worst, tol, worst <= tol)
+
+
+def _kernel_positivity(cfg: RunConfig, rep: Report) -> None:
+    p = cfg.params
+    xs = _x_grid(cfg, jitter=True)
+    for r in cfg.r_grid:
+        mat, _, _ = watson_series_matrix(p, r, xs, xs)
+        low = float(mat.min())
+        rep.add(f"min r={r:g}", "kernel-nonnegative", low, -1e-10, low >= -1e-10)
+
+
+def _kernel_crossval(cfg: RunConfig, rep: Report) -> None:
+    p = cfg.params
+    xs = np.linspace(-0.9, 0.9, 8)
+    for r in cfg.r_grid:
+        ab = AbelParameter(r)
+        pairs = [(x, y) for x in xs for y in xs
+                 if BaileyArguments.from_points(ab, x, y).margin > 0.1]
+        series, _, _ = _series_pairs(p, r, *np.array(pairs).T)
+        worst = 0.0
+        for (x, y), a in zip(pairs, series):
+            b = watson_kernel_bailey(p, ab, x, y).value
+            worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+        rep.add(
+            f"series-vs-product r={r:g}",
+            "dual-route-agreement",
+            worst,
+            1e-8,
+            worst <= 1e-8,
+        )
+        if p.alpha + p.beta > -1.0:
             worst = 0.0
-            for (x, y), a in zip(pairs, series):
-                b = watson_kernel_bailey(p, ab, x, y).value
-                worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+            xi = np.linspace(-0.8, 0.8, 3)
+            series, _, _ = _series_pairs(p, r, xi, 0.3)
+            for x, a in zip(xi, series):
+                c = watson_kernel_integral(p, ab, x, 0.3).value
+                worst = max(worst, abs(a - c) / max(abs(a), 1e-300))
             rep.add(
-                f"series-vs-product r={r:g}",
-                "dual-route-agreement",
+                f"series-vs-integral r={r:g}",
+                "integral-route-agreement",
                 worst,
-                1e-8,
-                worst <= 1e-8,
+                1e-4,
+                worst <= 1e-4,
             )
-            if p.alpha + p.beta > -1.0:
-                worst = 0.0
-                xi = np.linspace(-0.8, 0.8, 3)
-                series, _, _ = _series_pairs(p, r, xi, 0.3)
-                for x, a in zip(xi, series):
-                    c = watson_kernel_integral(p, ab, x, 0.3).value
-                    worst = max(worst, abs(a - c) / max(abs(a), 1e-300))
-                rep.add(
-                    f"series-vs-integral r={r:g}",
-                    "integral-route-agreement",
-                    worst,
-                    1e-4,
-                    worst <= 1e-4,
-                )
-    return rep
 
 
 def _grid_kernel(cfg: RunConfig):
@@ -235,70 +226,74 @@ def _grid_kernel(cfg: RunConfig):
 # ---- abel --------------------------------------------------------------------
 
 
-def _suite_abel(cfg: RunConfig) -> Report:
-    rep = Report("abel", cfg.echo())
+def _abel_inputs(cfg: RunConfig):
     p = cfg.params
-    f = _pick_function(cfg, p)
-    xs = _x_grid(cfg)
-    if cfg.suite == "mean":
-        for r in cfg.r_grid:
-            ab = AbelParameter(r)
-            vals = abel.abel_mean(f, p, ab, xs)
-            if f.tag == "pk:3":
-                want = r**3 * jacobi_eval(p, 3, xs)
-                worst = float(np.max(np.abs(vals - want)))
-                rep.add(
-                    f"single-term r={r:g}",
-                    "damped-eigenvector",
-                    worst,
-                    1e-10,
-                    worst <= 1e-10,
-                )
-            else:
-                sub = xs[:: max(1, xs.size // 5)]
-                dual = abel.abel_mean(f, p, ab, sub, route="kernel")
-                ser = abel.abel_mean(f, p, ab, sub)
-                worst = float(np.max(np.abs(dual - ser)))
-                rep.add(
-                    f"dual-route r={r:g}",
-                    "series-vs-kernel-mean",
-                    worst,
-                    1e-6,
-                    worst <= 1e-6,
-                )
-    elif cfg.suite == "maximal":
-        coarse = abel.default_r_grid(10)
-        fine = abel.default_r_grid(12)
-        va = np.asarray(abel.jacobi_maximal(f, p, xs, coarse))
-        vb = np.asarray(abel.jacobi_maximal(f, p, xs, fine))
-        mono = bool(np.all(vb >= va - 1e-12))
-        rep.add(
-            "refinement-monotone",
-            "maximal-grid-growth",
-            float(np.min(vb - va)),
-            0.0,
-            mono,
-        )
-        top = float(np.max(vb))
-        rep.add("sup finite", "maximal-finite", top, None, math.isfinite(top))
-    elif cfg.suite == "lp":
-        norms = abel.lp_convergence_probe(f, p, 2.0, cfg.r_grid)
-        dec = bool(np.all(np.diff(norms) < 0.0)) if len(norms) > 1 else True
-        rep.add(
-            "L2 error decreasing",
-            "mean-converges",
-            float(norms[-1]),
-            float(norms[0]),
-            dec,
-        )
-    return rep
+    return p, _pick_function(cfg, p), _x_grid(cfg)
+
+
+def _abel_mean(cfg: RunConfig, rep: Report) -> None:
+    p, f, xs = _abel_inputs(cfg)
+    for r in cfg.r_grid:
+        ab = AbelParameter(r)
+        vals = abel.abel_mean(f, p, ab, xs)
+        if f.tag == "pk:3":
+            want = r**3 * jacobi_eval(p, 3, xs)
+            worst = float(np.max(np.abs(vals - want)))
+            rep.add(
+                f"single-term r={r:g}",
+                "damped-eigenvector",
+                worst,
+                1e-10,
+                worst <= 1e-10,
+            )
+        else:
+            sub = xs[:: max(1, xs.size // 5)]
+            dual = abel.abel_mean(f, p, ab, sub, route="kernel")
+            ser = abel.abel_mean(f, p, ab, sub)
+            worst = float(np.max(np.abs(dual - ser)))
+            rep.add(
+                f"dual-route r={r:g}",
+                "series-vs-kernel-mean",
+                worst,
+                1e-6,
+                worst <= 1e-6,
+            )
+
+
+def _abel_maximal(cfg: RunConfig, rep: Report) -> None:
+    p, f, xs = _abel_inputs(cfg)
+    coarse = abel.default_r_grid(10)
+    fine = abel.default_r_grid(12)
+    va = np.asarray(abel.jacobi_maximal(f, p, xs, coarse))
+    vb = np.asarray(abel.jacobi_maximal(f, p, xs, fine))
+    mono = bool(np.all(vb >= va - 1e-12))
+    rep.add(
+        "refinement-monotone",
+        "maximal-grid-growth",
+        float(np.min(vb - va)),
+        0.0,
+        mono,
+    )
+    top = float(np.max(vb))
+    rep.add("sup finite", "maximal-finite", top, None, math.isfinite(top))
+
+
+def _abel_lp(cfg: RunConfig, rep: Report) -> None:
+    p, f, _ = _abel_inputs(cfg)
+    norms = abel.lp_convergence_probe(f, p, 2.0, cfg.r_grid)
+    dec = bool(np.all(np.diff(norms) < 0.0)) if len(norms) > 1 else True
+    rep.add(
+        "L2 error decreasing",
+        "mean-converges",
+        float(norms[-1]),
+        float(norms[0]),
+        dec,
+    )
 
 
 def _grid_abel(cfg: RunConfig):
-    p = cfg.params
-    f = _pick_function(cfg, p)
-    xs = _x_grid(cfg)
-    if cfg.suite == "maximal":
+    p, f, xs = _abel_inputs(cfg)
+    if SUITES["abel"][cfg.suite] is _abel_maximal:
         n_r = 8 * cfg.refine
         vals = np.asarray(abel.jacobi_maximal(f, p, xs, abel.default_r_grid(n_r)))
         prev = np.asarray(abel.jacobi_maximal(f, p, xs, abel.default_r_grid(max(2, n_r - 2))))
@@ -322,8 +317,7 @@ def _grid_abel(cfg: RunConfig):
 # ---- cz ------------------------------------------------------------------------
 
 
-def _suite_cz(cfg: RunConfig) -> Report:
-    rep = Report("cz", cfg.echo())
+def _cz_decompose(cfg: RunConfig, rep: Report) -> None:
     m = _parse_measure(cfg.measure)
     p = cfg.params
     f = _pick_function(cfg, p)
@@ -380,277 +374,284 @@ def _suite_cz(cfg: RunConfig) -> Report:
         rep.add(f"{tag} f = g + b", "reconstruction", recon, 1e-9, recon <= 1e-9)
     if norm1 is not None:
         rep.add("norm echo", "l1-norm", norm1, None, True, hard=False)
-    return rep
 
 
 # ---- weights -------------------------------------------------------------------
 
 
-def _suite_weights(cfg: RunConfig) -> Report:
-    rep = Report("weights", cfg.echo())
-    if cfg.suite == "identity":
-        m = WeightedMeasure.lebesgue(0.0, 1.0)
-        one = harmonic.PowerWeight(())
-        v = harmonic.a1_constant(one, m)
-        rep.add("a1 of unit weight", "unit-a1", v, 1.0, abs(v - 1.0) <= 1e-10)
-        v2 = harmonic.ap_constant(one, m, 2.0)
-        rep.add("a2 of unit weight", "unit-ap", v2, 1.0, abs(v2 - 1.0) <= 1e-10)
-    elif cfg.suite == "power":
-        worst = 0.0
-        for a_out, a_in in ((2.0, -0.5), (1.0, -0.3)):
-            base = WeightedMeasure.power(a_out)
-            w = harmonic.PowerWeight(((0.0, a_in),))
-            for x in np.linspace(0.05, 1.0, 20):
-                got = harmonic.weighted_interval_average(base, w, (0.0, x))
-                want = (a_out + 1.0) / (a_out + a_in + 1.0) * x**a_in
-                worst = max(worst, abs(got - want) / want)
-        rep.add(
-            "left-average identity",
-            "power-average-closed-form",
-            worst,
-            1e-8,
-            worst <= 1e-8,
-        )
-    elif cfg.suite == "jacobi-a1":
-        m = WeightedMeasure.jacobi(0.5, 0.5)
-        w = harmonic.PowerWeight(((1.0, -0.3), (-1.0, -0.3)))
-        v1 = harmonic.a1_constant(w, m, grid_size=256)
-        v2 = harmonic.a1_constant(w, m, grid_size=512)
-        ok = math.isfinite(v2) and v2 < 2.0 * v1
-        rep.add("jacobi a1 refinement", "a1-stable", v2, 2.0 * v1, ok)
-    elif cfg.suite == "ap":
-        m = WeightedMeasure.lebesgue(0.0, 1.0)
-        good = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 0.5),)), m, 2.0)
-        bad = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 1.5),)), m, 2.0)
-        rep.add("inside class finite", "ap-admissible", good, None, math.isfinite(good))
-        rep.add(
-            "outside class infinite",
-            "ap-inadmissible",
-            bad,
-            None,
-            math.isinf(bad),
-        )
-    elif cfg.suite == "divergence":
-        m = WeightedMeasure.lebesgue(0.0, 1.0)
-        probe = harmonic.ap_divergence_probe(harmonic.PowerWeight(((0.0, 1.5),)), m, 2.0)
-        rep.add(
-            "probe flags divergence",
-            "ap-divergence",
-            probe["sups"][-1],
-            None,
-            probe["divergent"],
-        )
-    return rep
+def _weights_identity(cfg: RunConfig, rep: Report) -> None:
+    m = WeightedMeasure.lebesgue(0.0, 1.0)
+    one = harmonic.PowerWeight(())
+    v = harmonic.a1_constant(one, m)
+    rep.add("a1 of unit weight", "unit-a1", v, 1.0, abs(v - 1.0) <= 1e-10)
+    v2 = harmonic.ap_constant(one, m, 2.0)
+    rep.add("a2 of unit weight", "unit-ap", v2, 1.0, abs(v2 - 1.0) <= 1e-10)
+
+
+def _weights_power(cfg: RunConfig, rep: Report) -> None:
+    worst = 0.0
+    for a_out, a_in in ((2.0, -0.5), (1.0, -0.3)):
+        base = WeightedMeasure.power(a_out)
+        w = harmonic.PowerWeight(((0.0, a_in),))
+        for x in np.linspace(0.05, 1.0, 20):
+            got = harmonic.weighted_interval_average(base, w, (0.0, x))
+            want = (a_out + 1.0) / (a_out + a_in + 1.0) * x**a_in
+            worst = max(worst, abs(got - want) / want)
+    rep.add(
+        "left-average identity",
+        "power-average-closed-form",
+        worst,
+        1e-8,
+        worst <= 1e-8,
+    )
+
+
+def _weights_jacobi_a1(cfg: RunConfig, rep: Report) -> None:
+    m = WeightedMeasure.jacobi(0.5, 0.5)
+    w = harmonic.PowerWeight(((1.0, -0.3), (-1.0, -0.3)))
+    v1 = harmonic.a1_constant(w, m, grid_size=256)
+    v2 = harmonic.a1_constant(w, m, grid_size=512)
+    ok = math.isfinite(v2) and v2 < 2.0 * v1
+    rep.add("jacobi a1 refinement", "a1-stable", v2, 2.0 * v1, ok)
+
+
+def _weights_ap(cfg: RunConfig, rep: Report) -> None:
+    m = WeightedMeasure.lebesgue(0.0, 1.0)
+    good = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 0.5),)), m, 2.0)
+    bad = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 1.5),)), m, 2.0)
+    rep.add("inside class finite", "ap-admissible", good, None, math.isfinite(good))
+    rep.add(
+        "outside class infinite",
+        "ap-inadmissible",
+        bad,
+        None,
+        math.isinf(bad),
+    )
+
+
+def _weights_divergence(cfg: RunConfig, rep: Report) -> None:
+    m = WeightedMeasure.lebesgue(0.0, 1.0)
+    probe = harmonic.ap_divergence_probe(harmonic.PowerWeight(((0.0, 1.5),)), m, 2.0)
+    rep.add(
+        "probe flags divergence",
+        "ap-divergence",
+        probe["sups"][-1],
+        None,
+        probe["divergent"],
+    )
 
 
 # ---- estimates -----------------------------------------------------------------
 
 
-def _suite_estimates(cfg: RunConfig) -> Report:
-    rep = Report("estimates", cfg.echo())
-    p = cfg.params
-    if cfg.suite == "poisson":
-        for tag, alpha, want in (
-            ("k1", None, 4.0),
-            ("k2", None, 2.0),
-            ("k3", None, math.pi),
-        ):
-            got = estimates.poisson_mass(tag, alpha)
-            rep.add(
-                f"mass {tag}",
-                "comparison-kernel-mass",
-                got,
-                want,
-                abs(got - want) <= 1e-6,
-            )
-        a = cfg.alpha
-        kern = estimates.PoissonTypeKernel("k4", a if a > -1 else 0.5)
-        got = estimates.poisson_mass("k4", kern.alpha)
+def _estimates_poisson(cfg: RunConfig, rep: Report) -> None:
+    for tag, alpha, want in (
+        ("k1", None, 4.0),
+        ("k2", None, 2.0),
+        ("k3", None, math.pi),
+    ):
+        got = estimates.poisson_mass(tag, alpha)
         rep.add(
-            f"mass k4 alpha={kern.alpha:g}",
+            f"mass {tag}",
             "comparison-kernel-mass",
             got,
-            kern.analytic_mass,
-            abs(got - kern.analytic_mass) <= 1e-6,
+            want,
+            abs(got - want) <= 1e-6,
         )
-    elif cfg.suite == "dyadic":
-        ab = AbelParameter(max(cfg.r_grid))
-        maj = estimates.DyadicMajorant(p, ab, 0.5)
-        iv = maj.intervals
-        nested = all(
-            iv[i][0] >= iv[i + 1][0] and iv[i][1] <= iv[i + 1][1]
-            for i in range(len(iv) - 1)
-        )
-        rep.add("intervals nested", "dyadic-nesting", float(nested), None, nested)
-        c = estimates.dyadic_domination_constant(
-            p, cfg.r_grid, [0.2, 0.5, 0.9], np.linspace(-0.9, 0.9, 13)
-        )
-        rep.add("domination constant", "dyadic-domination", c, None, math.isfinite(c), hard=False)
-    elif cfg.suite == "auxiliary":
-        sups = [0.0, 0.0, 0.0]
-        for j in range(1, 13):
-            ab = AbelParameter(1.0 - 2.0**-j)
-            v1, v2 = estimates.estm_integrals(ab, 0.7)
-            pv = estimates.estm_proof_variant(ab)
-            sups = [max(sups[0], v1), max(sups[1], v2), max(sups[2], pv)]
+    a = cfg.alpha
+    kern = estimates.PoissonTypeKernel("k4", a if a > -1 else 0.5)
+    got = estimates.poisson_mass("k4", kern.alpha)
+    rep.add(
+        f"mass k4 alpha={kern.alpha:g}",
+        "comparison-kernel-mass",
+        got,
+        kern.analytic_mass,
+        abs(got - kern.analytic_mass) <= 1e-6,
+    )
+
+
+def _estimates_dyadic(cfg: RunConfig, rep: Report) -> None:
+    p = cfg.params
+    ab = AbelParameter(max(cfg.r_grid))
+    maj = estimates.DyadicMajorant(p, ab, 0.5)
+    iv = maj.intervals
+    nested = all(
+        iv[i][0] >= iv[i + 1][0] and iv[i][1] <= iv[i + 1][1]
+        for i in range(len(iv) - 1)
+    )
+    rep.add("intervals nested", "dyadic-nesting", float(nested), None, nested)
+    c = estimates.dyadic_domination_constant(
+        p, cfg.r_grid, [0.2, 0.5, 0.9], np.linspace(-0.9, 0.9, 13)
+    )
+    rep.add("domination constant", "dyadic-domination", c, None, math.isfinite(c), hard=False)
+
+
+def _estimates_auxiliary(cfg: RunConfig, rep: Report) -> None:
+    sups = [0.0, 0.0, 0.0]
+    for j in range(1, 13):
+        ab = AbelParameter(1.0 - 2.0**-j)
+        v1, v2 = estimates.estm_integrals(ab, 0.7)
+        pv = estimates.estm_proof_variant(ab)
+        sups = [max(sups[0], v1), max(sups[1], v2), max(sups[2], pv)]
+    rep.add(
+        "windowed integral sup",
+        "auxiliary-bounded",
+        sups[0],
+        None,
+        math.isfinite(sups[0]),
+    )
+    rep.add(
+        "endpoint-weighted sup",
+        "auxiliary-bounded",
+        sups[1],
+        None,
+        math.isfinite(sups[1]),
+    )
+    rep.add(
+        "rearranged variant sup",
+        "auxiliary-mass-bound",
+        sups[2],
+        4.0,
+        sups[2] <= 4.0,
+    )
+
+
+def _estimates_shift(cfg: RunConfig, rep: Report) -> None:
+    for eta in (1.1, 1.5, 3.0):
+        out = estimates.kernel_shift_check(eta)
         rep.add(
-            "windowed integral sup",
-            "auxiliary-bounded",
-            sups[0],
-            None,
-            math.isfinite(sups[0]),
-        )
-        rep.add(
-            "endpoint-weighted sup",
-            "auxiliary-bounded",
-            sups[1],
-            None,
-            math.isfinite(sups[1]),
-        )
-        rep.add(
-            "rearranged variant sup",
-            "auxiliary-mass-bound",
-            sups[2],
-            4.0,
-            sups[2] <= 4.0,
-        )
-    elif cfg.suite == "shift":
-        for eta in (1.1, 1.5, 3.0):
-            out = estimates.kernel_shift_check(eta)
-            rep.add(
-                f"regional bounds eta={eta:g}",
-                "shift-stability",
-                max(out["worst_far"] / out["bound_far"], out["worst_near"] / out["bound_near"]),
-                1.0,
-                out["holds"],
-            )
-    elif cfg.suite == "mainest":
-        worst_ratio = 0.0
-        sup = 0.0
-        for a in (-0.5, 0.0, 1.7):
-            pp = JacobiParams(a, cfg.beta)
-            for r in cfg.r_grid:
-                ab = AbelParameter(r)
-                v = estimates.mainest_integral(pp, ab, 0.5)
-                w = estimates.mainest_integral(pp, ab, 0.5, n_y=96, n_s=32, level=3)
-                sup = max(sup, w)
-                worst_ratio = max(worst_ratio, max(v, w) / max(min(v, w), 1e-300))
-        rep.add(
-            "superposition sup",
-            "mainest-finite",
-            sup,
-            None,
-            math.isfinite(sup),
-        )
-        rep.add(
-            "refinement ratio",
-            "mainest-stable",
-            worst_ratio,
-            1.5,
-            worst_ratio <= 1.5,
-        )
-    elif cfg.suite == "joperator":
-        f = _pick_function(cfg, cfg.params)
-        worst = estimates.j_domination_probe(
-            p, f, cfg.r_grid, np.linspace(0.05, 0.9, 5)
-        )
-        rep.add(
-            "maximal domination ratio",
-            "averaging-dominated",
-            worst,
-            None,
-            math.isfinite(worst),
-        )
-    elif cfg.suite == "sxy":
-        out = estimates.sxy_inequalities_check()
-        rep.add(
-            "literal comparison constants",
-            "box-inequalities",
-            float(out["holds"]),
+            f"regional bounds eta={eta:g}",
+            "shift-stability",
+            max(out["worst_far"] / out["bound_far"], out["worst_near"] / out["bound_near"]),
             1.0,
             out["holds"],
         )
-        rep.add("lower rate constant", "localization-rate", out["vii"]["rate_range"][0], 0.125, out["vii"]["lower_holds"])
-        for key in ("iii", "iv", "v"):
-            fit = out[key].get("C2_fit", out[key].get("C_fit"))
-            rep.add(f"fitted constant {key}", "box-fitted", fit, None, True, hard=False)
-    return rep
+
+
+def _estimates_mainest(cfg: RunConfig, rep: Report) -> None:
+    worst_ratio = 0.0
+    sup = 0.0
+    for a in (-0.5, 0.0, 1.7):
+        pp = JacobiParams(a, cfg.beta)
+        for r in cfg.r_grid:
+            ab = AbelParameter(r)
+            v = estimates.mainest_integral(pp, ab, 0.5)
+            w = estimates.mainest_integral(pp, ab, 0.5, n_y=96, n_s=32, level=3)
+            sup = max(sup, w)
+            worst_ratio = max(worst_ratio, max(v, w) / max(min(v, w), 1e-300))
+    rep.add(
+        "superposition sup",
+        "mainest-finite",
+        sup,
+        None,
+        math.isfinite(sup),
+    )
+    rep.add(
+        "refinement ratio",
+        "mainest-stable",
+        worst_ratio,
+        1.5,
+        worst_ratio <= 1.5,
+    )
+
+
+def _estimates_joperator(cfg: RunConfig, rep: Report) -> None:
+    p = cfg.params
+    f = _pick_function(cfg, cfg.params)
+    worst = estimates.j_domination_probe(
+        p, f, cfg.r_grid, np.linspace(0.05, 0.9, 5)
+    )
+    rep.add(
+        "maximal domination ratio",
+        "averaging-dominated",
+        worst,
+        None,
+        math.isfinite(worst),
+    )
+
+
+def _estimates_sxy(cfg: RunConfig, rep: Report) -> None:
+    out = estimates.sxy_inequalities_check()
+    rep.add(
+        "literal comparison constants",
+        "box-inequalities",
+        float(out["holds"]),
+        1.0,
+        out["holds"],
+    )
+    rep.add("lower rate constant", "localization-rate", out["vii"]["rate_range"][0], 0.125, out["vii"]["lower_holds"])
+    for key in ("iii", "iv", "v"):
+        fit = out[key].get("C2_fit", out[key].get("C_fit"))
+        rep.add(f"fitted constant {key}", "box-fitted", fit, None, True, hard=False)
 
 
 # ---- plumbing ------------------------------------------------------------------
 
+# command -> {suite: check runner}, in --help order; the first suite is the
+# default, and a suite without a runner is a CSV-only grid
+SUITES = {
+    "kernel": {"mass": _kernel_mass, "positivity": _kernel_positivity,
+               "crossval": _kernel_crossval, "grid": None},
+    "abel": {"mean": _abel_mean, "maximal": _abel_maximal, "lp": _abel_lp, "grid": None},
+    "cz": {"decompose": _cz_decompose},
+    "weights": {"identity": _weights_identity, "power": _weights_power,
+                "jacobi-a1": _weights_jacobi_a1, "ap": _weights_ap,
+                "divergence": _weights_divergence},
+    "estimates": {"poisson": _estimates_poisson, "dyadic": _estimates_dyadic,
+                  "auxiliary": _estimates_auxiliary, "shift": _estimates_shift,
+                  "mainest": _estimates_mainest, "joperator": _estimates_joperator,
+                  "sxy": _estimates_sxy},
+}
 
-_SUITE_RUNNERS = {
-    "kernel": _suite_kernel,
-    "abel": _suite_abel,
-    "cz": _suite_cz,
-    "weights": _suite_weights,
-    "estimates": _suite_estimates,
+# command -> CSV grid emitter; `--format csv` emits it for any suite
+_GRIDS = {"kernel": _grid_kernel, "abel": _grid_abel}
+
+# the suites report-all merges, with the config entries it overrides for each
+_REPORT_ALL = {
+    _kernel_mass: {}, _kernel_positivity: {}, _abel_mean: {"f_name": "pk:3"},
+    _cz_decompose: {}, _weights_identity: {}, _weights_power: {},
+    _estimates_poisson: {}, _estimates_shift: {}, _estimates_sxy: {},
 }
 
 
 def run(cfg: RunConfig) -> Report:
     """Dispatch one configuration; numerical failures become failed checks."""
     cfg.validate()
-    if cfg.command == "report-all":
-        return _report_all(cfg)
-    runner = _SUITE_RUNNERS[cfg.command]
+    runner = SUITES[cfg.command][cfg.suite] if cfg.command in SUITES else _report_all
+    rep = Report(cfg.command, cfg.echo())
     try:
-        return runner(cfg)
+        runner(cfg, rep)
     except _NUMERIC_ERRORS:
         # a diverging computation is a failed check, never a crash
         rep = Report(cfg.command, cfg.echo())
         rep.add(f"{cfg.suite} completed", "no-numerical-divergence", math.nan, None, False)
-        return rep
-
-
-def _report_all(cfg: RunConfig) -> Report:
-    combos = [
-        ("kernel", "mass"),
-        ("kernel", "positivity"),
-        ("abel", "mean"),
-        ("cz", "decompose"),
-        ("weights", "identity"),
-        ("weights", "power"),
-        ("estimates", "poisson"),
-        ("estimates", "shift"),
-        ("estimates", "sxy"),
-    ]
-
-    def one(pair):
-        cmd, suite = pair
-        sub = RunConfig(
-            command=cmd,
-            suite=suite,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            r_grid=cfg.r_grid,
-            lam_grid=cfg.lam_grid,
-            x_points=cfg.x_points,
-            measure=cfg.measure,
-            f_name="pk:3" if (cmd, suite) == ("abel", "mean") else cfg.f_name,
-            seed=cfg.seed,
-        )
-        return suite, run(sub)
-
-    rep = Report("report-all", cfg.echo())
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
-        results = list(pool.map(one, combos))
-    for _, sub in sorted(results, key=lambda t: t[0]):
-        rep.extend(sub)
     return rep
+
+
+def _report_all(cfg: RunConfig, rep: Report) -> None:
+    subs = [
+        (suite, run(replace(cfg, command=cmd, suite=suite, **_REPORT_ALL[runner])))
+        for cmd, runners in SUITES.items()
+        for suite, runner in runners.items()
+        if runner in _REPORT_ALL
+    ]
+    for _, sub in sorted(subs, key=lambda t: t[0]):
+        rep.extend(sub)
 
 
 def emit_grid(cfg: RunConfig) -> str:
     """CSV grid for the current command/suite; deterministic row order."""
     cfg.validate()
-    if cfg.command == "kernel":
-        rows = _grid_kernel(cfg)
-    elif cfg.command == "abel":
-        rows = _grid_abel(cfg)
-    else:
+    if cfg.command not in _GRIDS:
         raise DomainError(f"no grid emitter for command {cfg.command!r}")
-    return grid_csv(rows)
+    return grid_csv(_GRIDS[cfg.command](cfg))
+
+
+def _float_list(text: str) -> tuple:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -659,64 +660,62 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification suites and grids for weighted expansion summability",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for cmd in ("kernel", "abel", "cz", "weights", "estimates", "report-all"):
+    for cmd in (*SUITES, "report-all"):
         sp = sub.add_parser(cmd)
-        sp.add_argument("--config", default=None, help="JSON file with defaults")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--r", default=None, help="comma list of r values in (0,1)")
-        sp.add_argument("--x-points", type=int, default=None)
-        sp.add_argument("--y", type=float, default=None, help="second kernel argument")
-        sp.add_argument("--lambda", dest="lam", default=None, help="comma list of levels")
-        sp.add_argument("--measure", default=None, help="lebesgue[:a,b] | jacobi:a,b | power:e[:l,r]")
-        sp.add_argument("--f", default=None, help="test function name")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--refine", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        sp.add_argument("--config", help="JSON file with defaults")
+        sp.add_argument("--alpha", type=float)
+        sp.add_argument("--beta", type=float)
+        sp.add_argument("--r", dest="r_grid", metavar="R", type=_float_list,
+                        help="comma list of r values in (0,1)")
+        sp.add_argument("--x-points", type=int)
+        sp.add_argument("--y", dest="y_point", metavar="Y", type=float, help="second kernel argument")
+        sp.add_argument("--lambda", dest="lam_grid", metavar="LAM", type=_float_list,
+                        help="comma list of levels")
+        sp.add_argument("--measure", help="lebesgue[:a,b] | jacobi:a,b | power:e[:l,r]")
+        sp.add_argument("--f", dest="f_name", metavar="F", help="test function name")
+        sp.add_argument("--tol", type=float)
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--refine", type=int)
+        sp.add_argument("--out")
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
         sp.add_argument("--timing", action="store_true", default=None)
         if cmd in SUITES:
-            sp.add_argument("--suite", choices=SUITES[cmd], default=None)
+            sp.add_argument("--suite", choices=SUITES[cmd])
     return ap
 
 
+def _typed(key: str, val, kind: type):
+    """`val` checked against the field type `kind`; an int stays an int where a
+    float is expected, and a grid becomes a tuple of floats."""
+    if kind is tuple:
+        if isinstance(val, (list, tuple)):
+            try:
+                return tuple(float(v) for v in val)
+            except (TypeError, ValueError):
+                pass
+    elif isinstance(val, bool) == (kind is bool) and isinstance(
+        val, (int, float) if kind is float else kind
+    ):
+        return val
+    want = "a list of numbers" if kind is tuple else kind.__name__
+    raise DomainError(f"config key {key!r} needs {want}, got {val!r}")
+
+
 def _config_from_args(args) -> RunConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    cfg = RunConfig(command=args.command)
-    if args.command in SUITES:
-        cfg.suite = SUITES[args.command][0]
-    merged = dict(base)
-    overrides = {
-        "suite": getattr(args, "suite", None),
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "r_grid": tuple(float(t) for t in args.r.split(",")) if args.r else None,
-        "lam_grid": tuple(float(t) for t in args.lam.split(",")) if args.lam else None,
-        "x_points": args.x_points,
-        "y_point": args.y,
-        "measure": args.measure,
-        "f_name": args.f,
-        "tol": args.tol,
-        "seed": args.seed,
-        "refine": args.refine,
-        "out": args.out,
-        "fmt": args.fmt,
-        "timing": args.timing,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
+    flags = {key: val for key, val in vars(args).items() if val is not None}
+    path = flags.pop("config", None)
+    merged: dict = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise DomainError(f"config file must hold a JSON object, got {merged!r}")
+    merged.update(flags)
+    cfg = RunConfig(command=args.command, suite=next(iter(SUITES.get(args.command, ())), ""))
     for key, val in merged.items():
-        if not hasattr(cfg, key):
+        if key not in _FIELD_TYPES:
             raise DomainError(f"unknown config key {key!r}")
-        if key in ("r_grid", "lam_grid"):
-            val = tuple(float(v) for v in val)
-        setattr(cfg, key, val)
-    cfg.threads = max(1, int(os.environ.get("JW_THREADS", "1")))
+        setattr(cfg, key, _typed(key, val, _FIELD_TYPES[key]))
     return cfg
 
 
@@ -726,7 +725,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         cfg.validate()
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
@@ -736,6 +735,9 @@ def main(argv=None) -> int:
         except DomainError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
+        except _NUMERIC_ERRORS as exc:
+            print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         status = 0
     else:
         report = run(cfg)

@@ -575,6 +575,21 @@ def _grid_masses(meas: WeightedMeasure, grid: np.ndarray) -> np.ndarray:
     )
 
 
+def _window_sup(base, top, dual, p_exp: float) -> float:
+    """sup over grid windows of (top/base) (dual/base)^(p-1), from per-cell
+    masses; windows of zero base mass are skipped."""
+    cb = np.concatenate([[0.0], np.cumsum(base)])
+    ct = np.concatenate([[0.0], np.cumsum(top)])
+    cd = np.concatenate([[0.0], np.cumsum(dual)])
+    db = cb[None, :] - cb[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prod = ((ct[None, :] - ct[:, None]) / db) * (
+            ((cd[None, :] - cd[:, None]) / db) ** (p_exp - 1.0)
+        )
+    prod[~(db > 0.0)] = -np.inf
+    return float(np.max(prod))
+
+
 def ap_constant(
     w: PowerWeight,
     m: WeightedMeasure,
@@ -599,16 +614,7 @@ def ap_constant(
     base = _grid_masses(m, grid)
     top = _grid_masses(mw, grid)
     dual = _grid_masses(mv, grid)
-    cb = np.concatenate([[0.0], np.cumsum(base)])
-    ct = np.concatenate([[0.0], np.cumsum(top)])
-    cd = np.concatenate([[0.0], np.cumsum(dual)])
-    db = cb[None, :] - cb[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        prod = ((ct[None, :] - ct[:, None]) / db) * (
-            ((cd[None, :] - cd[:, None]) / db) ** (p_exp - 1.0)
-        )
-    prod[~(db > 0.0)] = -np.inf
-    return float(np.max(prod))
+    return _window_sup(base, top, dual, p_exp)
 
 
 def a1_constant(
@@ -672,15 +678,6 @@ def ap_divergence_probe(
             base[i] = float(np.sum(wt))
             top[i] = float(np.dot(wt, wv))
             dual[i] = float(np.dot(wt, wv**s))
-        cb = np.concatenate([[0.0], np.cumsum(base)])
-        ct = np.concatenate([[0.0], np.cumsum(top)])
-        cd = np.concatenate([[0.0], np.cumsum(dual)])
-        db = cb[None, :] - cb[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prod = ((ct[None, :] - ct[:, None]) / db) * (
-                ((cd[None, :] - cd[:, None]) / db) ** (p_exp - 1.0)
-            )
-        prod[~(db > 0.0)] = -np.inf
-        sups.append(float(np.max(prod)))
+        sups.append(_window_sup(base, top, dual, p_exp))
     divergent = sups[-1] > 10.0 * sups[0]
     return {"sups": sups, "divergent": divergent}

@@ -24,6 +24,7 @@ from .errors import (
 from .polynomials import (
     JacobiParams,
     _growth_constant,
+    _half_weight,
     _norm_ratio,
     gauss_jacobi_rule,
     jacobi_eval_table,
@@ -477,13 +478,7 @@ def modified_watson_kernel(
         if p.beta < 0.0 and t <= -1.0:
             raise SingularEvaluationError("modified kernel singular at x = -1 for beta < 0")
     base = watson_kernel(p, ab, x, y).value
-    w = (
-        (1.0 - x) ** (0.5 * p.alpha)
-        * (1.0 + x) ** (0.5 * p.beta)
-        * (1.0 - y) ** (0.5 * p.alpha)
-        * (1.0 + y) ** (0.5 * p.beta)
-    )
-    return base * w
+    return base * (_half_weight(p, x) * _half_weight(p, y))
 
 
 def kernel_mass(

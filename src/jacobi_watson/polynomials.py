@@ -202,9 +202,13 @@ def jacobi_function_eval(p: JacobiParams, n: int, x):
         raise SingularEvaluationError("F_n is singular at x = 1 for alpha < 0")
     if p.beta < 0.0 and np.any(xv <= -1.0):
         raise SingularEvaluationError("F_n is singular at x = -1 for beta < 0")
-    vals = jacobi_eval(p, n, xv)
-    vals = vals * (1.0 - xv) ** (0.5 * p.alpha) * (1.0 + xv) ** (0.5 * p.beta)
+    vals = jacobi_eval(p, n, xv) * _half_weight(p, xv)
     return float(vals[0]) if scalar else vals
+
+
+def _half_weight(p: JacobiParams, x):
+    """(1-x)^(alpha/2) (1+x)^(beta/2), the factor taking P_n to F_n."""
+    return (1.0 - x) ** (0.5 * p.alpha) * (1.0 + x) ** (0.5 * p.beta)
 
 
 def growth_bound_probe(p: JacobiParams, n_max: int, grid_size: int = 400) -> float:

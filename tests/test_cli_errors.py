@@ -1,0 +1,75 @@
+"""Bad configuration exits 2 and a diverging grid exits 1, never with a traceback."""
+
+import json
+
+import pytest
+
+from jacobi_watson.cli import main
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--r", "abc"],
+        ["kernel", "--r", "0.5,"],
+        ["cz", "--lambda", "x"],
+    ],
+)
+def test_malformed_number_list_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "comma list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"x_points": "abc"}',
+        '{"r_grid": 0.5}',
+        '{"r_grid": ["a"]}',
+        '{"alpha": null}',
+        '{"timing": "yes"}',
+        '{"x_points": true}',
+        '{"params": 1}',
+        "[1, 2]",
+    ],
+)
+def test_wrongly_typed_config_is_config_error(text, tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(text)
+    assert main(["estimates", "--suite", "poisson", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_config_values_echo_as_given(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text('{"alpha": 1, "r_grid": [0.5]}')
+    out = tmp_path / "rep.json"
+    assert main(["estimates", "--suite", "poisson", "--config", str(cfgfile), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["alpha"] == 1 and isinstance(doc["config"]["alpha"], int)
+    assert doc["config"]["r_grid"] == [0.5]
+
+
+@pytest.mark.parametrize("command", ["abel", "cz"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unknown_test_function_is_config_error(command, fmt, capsys):
+    code = main([command, "--f", "banana", "--format", fmt])
+    assert code == 2
+    assert "unknown test function 'banana'" in capsys.readouterr().err
+
+
+def test_csv_grid_numerical_failure_is_reported(tmp_path, capsys):
+    # r = 0.996 is past the series route's budget; the grid has no values to
+    # write, so the run reports the failure and writes no CSV
+    out = tmp_path / "g.csv"
+    code = main(
+        ["kernel", "--suite", "grid", "--format", "csv", "--r", "0.996",
+         "--x-points", "3", "--out", str(out)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ConvergenceError: ")
+    assert captured.out == ""
+    assert not out.exists()
