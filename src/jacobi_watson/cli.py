@@ -83,6 +83,8 @@ class RunConfig:
             raise DomainError("r grid must lie inside (0, 1)")
         if self.tol <= 0.0:
             raise DomainError(f"tolerance must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be json or csv, got {self.fmt!r}")
         runners = SUITES.get(self.command)
@@ -729,20 +731,21 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    if cfg.fmt == "csv":
-        try:
-            text = emit_grid(cfg)
-        except DomainError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        except _NUMERIC_ERRORS as exc:
-            print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        status = 0
-    else:
-        report = run(cfg)
-        text = report.to_json(time.perf_counter() - t0 if cfg.timing else None)
-        status = 0 if report.aggregate_pass else 1
+    try:
+        if cfg.fmt == "csv":
+            text, status = emit_grid(cfg), 0
+        else:
+            report = run(cfg)
+            text = report.to_json(time.perf_counter() - t0 if cfg.timing else None)
+            status = 0 if report.aggregate_pass else 1
+    except DomainError as exc:
+        # also an input a suite refuses, such as an f < 0 for cz_decompose
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except _NUMERIC_ERRORS as exc:
+        # run() records these as failed checks; a CSV grid has no place for them
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, RegimeError, SingularEvaluationError
+from .quadrature import _gauss_jacobi_nodes
 
 __all__ = [
     "JacobiParams",
@@ -255,7 +255,7 @@ class QuadratureRule:
 
 @lru_cache(maxsize=128)
 def _roots_jacobi_cached(order: int, alpha: float, beta: float):
-    nodes, weights = special.roots_jacobi(order, alpha, beta)
+    nodes, weights = _gauss_jacobi_nodes(order, alpha, beta)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

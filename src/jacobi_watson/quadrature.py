@@ -9,12 +9,13 @@ in the rule, not in the integrand handling.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateInputError, DomainError
+from .errors import ConvergenceError, DegenerateInputError, DomainError
 
 __all__ = [
     "gauss_legendre",
@@ -25,9 +26,217 @@ __all__ = [
 ]
 
 
+# Rules of at least this many nodes, with both exponents in (low, high], come
+# from the O(n) asymptotic construction of Hale and Townsend (SIAM J. Sci.
+# Comput. 35, 2013); scipy builds the others by Golub-Welsch, in O(n^2) time.
+# The size is the measured crossover of the two; the exponent range is the one
+# the tests check against closed forms.
+_ASY_MIN_NODES = 1024
+_ASY_EXPONENTS = (-1.0, 2.0)
+# nodes per end found on an exact series, where the interior expansion stops
+# converging; the interior expansion keeps this many terms
+_BOUNDARY_NODES = 20
+_HAHN_TERMS = 20
+# fraction bits of the fixed-point sums in _hyp2f1_exact
+_FIXED_BITS = 256
+# Newton converges in 2 to 4 steps from the initial angles; more is an error
+_NEWTON_STEPS = 10
+# B_0..B_9, for the Stirling series of log-gamma ratios
+_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0, 0.0)
+
+
+def _gauss_jacobi_nodes(n: int, alpha: float, beta: float):
+    """Ascending nodes and weights of the n-point Gauss rule for the weight
+    (1-x)^alpha (1+x)^beta on [-1, 1]. Uncached: its callers cache."""
+    low, high = _ASY_EXPONENTS
+    if n < _ASY_MIN_NODES or not (low < alpha <= high and low < beta <= high):
+        return special.roots_jacobi(n, alpha, beta)
+    a, b = float(alpha), float(beta)
+    guess = _initial_angles(n, a, b)
+    if a == b:
+        # symmetric: the x < 0 nodes mirror the first n // 2 of the x >= 0 ones
+        xr, wr = _half_rule(n, a, b, guess[: (n + 1) // 2])
+        xl, wl = xr[: n // 2], wr[: n // 2]
+    else:
+        right = guess <= 0.5 * np.pi
+        xr, wr = _half_rule(n, a, b, guess[right])
+        # P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x): the x < 0 half is found as the
+        # x > 0 half of the rule with the exponents swapped
+        xl, wl = _half_rule(n, b, a, np.pi - guess[~right][::-1])
+    return np.concatenate([-xl, xr[::-1]]), np.concatenate([wl, wr[::-1]])
+
+
+def _initial_angles(n: int, a: float, b: float) -> np.ndarray:
+    """Gatteschi-Pittaluga approximations to the angles of the nodes, ascending."""
+    big = 2.0 * n + a + b + 1.0
+    k = (2.0 * np.arange(1, n + 1) + a - 0.5) * np.pi / big
+    return k + ((0.25 - a * a) / np.tan(0.5 * k) - (0.25 - b * b) * np.tan(0.5 * k)) / big**2
+
+
+def _half_rule(n: int, a: float, b: float, t: np.ndarray):
+    """Nodes cos(theta) and weights for the angles near the ascending guesses t,
+    all in [0, pi/2] up to rounding."""
+    xb, wb = _boundary_nodes(n, a, b, t[:_BOUNDARY_NODES])
+    xi, wi = _interior_nodes(n, a, b, t[_BOUNDARY_NODES:])
+    return np.concatenate([xb, xi]), np.concatenate([wb, wi])
+
+
+def _interior_nodes(n: int, a: float, b: float, t: np.ndarray):
+    """Newton in theta on Hahn's expansion of P_n^(a,b)(cos theta)."""
+    cp = _hahn_coefficients(n, a, b)
+    # P_n' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1), whose expansion has the same rho
+    cd = _hahn_coefficients(n - 1, a + 1.0, b + 1.0)
+    rate = n + a + b + 1.0
+    for _ in range(_NEWTON_STEPS):
+        s, d = _hahn_sums(n, a, b, t, cp, cd)
+        step = s / (rate * d)
+        t = t + step
+        if np.max(np.abs(step)) < 1e-13:
+            break
+    else:
+        raise ConvergenceError("interior Gauss-Jacobi nodes did not converge", n=n, a=a, b=b)
+    # one more step, whose derivative also gives the weights
+    s, d = _hahn_sums(n, a, b, t, cp, cd)
+    t = t + s / (rate * d)
+    # w = C_n / (dP/dtheta)^2; the gamma ratio in C_n / K^2 tends to a
+    # constant (its power of n is 0)
+    m = 0.5 * (a + b)
+    scale = 2.0 ** (a + b + 3.0) * np.pi / rate * _gamma_ratio(
+        n, (m + 1.0, m + 1.0, m + 1.5, m + 1.5), (a + b + 2.0, 1.0, a + 1.0, b + 1.0)
+    )
+    half = 0.5 * t
+    w = scale * np.sin(half) ** (2.0 * a + 1.0) * np.cos(half) ** (2.0 * b + 1.0) / (4.0 * d * d)
+    return np.cos(t), w
+
+
+def _hahn_coefficients(n: int, a: float, b: float) -> np.ndarray:
+    """c[m, l] = (1/2+a)_l (1/2-a)_l (1/2+b)_(m-l) (1/2-b)_(m-l)
+    / (l! (m-l)! (2 rho + 1)_m 2^m), rho = n + (a+b+1)/2."""
+    rho = n + 0.5 * (a + b + 1.0)
+    left = [1.0]
+    right = [1.0]
+    for k in range(1, _HAHN_TERMS):
+        left.append(left[-1] * (k - 0.5 + a) * (k - 0.5 - a) / k)
+        right.append(right[-1] * (k - 0.5 + b) * (k - 0.5 - b) / k)
+    c = np.zeros((_HAHN_TERMS, _HAHN_TERMS))
+    den = 1.0
+    for m in range(_HAHN_TERMS):
+        for l in range(m + 1):
+            c[m, l] = left[l] * right[m - l] / den
+        den *= 2.0 * (2.0 * rho + 1.0 + m)
+    return c
+
+
+def _hahn_sums(n: int, a: float, b: float, t: np.ndarray, cp, cd):
+    """Hahn's sums for P_n^(a,b)(cos t) and P_{n-1}^(a+1,b+1)(cos t), each
+    without the factor K / (sin^(a+1/2)(t/2) cos^(b+1/2)(t/2)) and
+    K / (sin^(a+3/2)(t/2) cos^(b+3/2)(t/2)).
+
+    The m, l term is c[m, l] cos(theta_ml) / (sin^l(t/2) cos^(m-l)(t/2)) with
+    theta_ml = (rho + m/2) t - (a + l + 1/2) pi/2, i.e. the real part of
+    e^(i theta_00) (e^(it/2) / cos(t/2))^m (-i cot(t/2))^l; the derivative's
+    phase is pi/2 behind. Both double sums run by Horner's rule.
+    """
+    rho = n + 0.5 * (a + b + 1.0)
+    half = 0.5 * t
+    e0 = np.exp(1j * (rho * t - 0.5 * (a + 0.5) * np.pi))
+    v = np.exp(1j * half) / np.cos(half)
+    u = -1j / np.tan(half)
+    fp = np.zeros_like(e0)
+    fd = np.zeros_like(e0)
+    for m in range(_HAHN_TERMS - 1, -1, -1):
+        qp = np.full_like(e0, cp[m, m])
+        qd = np.full_like(e0, cd[m, m])
+        for l in range(m - 1, -1, -1):
+            qp = qp * u + cp[m, l]
+            qd = qd * u + cd[m, l]
+        fp = fp * v + qp
+        fd = fd * v + qd
+    return (e0 * fp).real, (-1j * e0 * fd).real
+
+
+def _boundary_nodes(n: int, a: float, b: float, t: np.ndarray):
+    """Newton in x near x = 1 on the exactly summed series, and the weights.
+
+    The series is exact, so Newton runs until its step is below the spacing
+    of doubles, and that last step still places the root: the node is
+    x + step rounded and the weight is taken at x + step to first order. That digit matters where the
+    first node holds most of the mass (a near -1); scipy's recurrence, good to
+    about n * 1e-16 relative, loses it.
+    """
+    x = np.cos(t)
+    c = n * (n + a + b + 1.0)
+    for _ in range(_NEWTON_STEPS):
+        # P_n^(a,b)(x) and P_{n-1}^(a+1,b+1)(x), each divided by its value at 1
+        z = 0.5 * (1.0 - x)
+        p = np.array([_hyp2f1_exact(n, n + a + b + 1.0, a + 1.0, zi) for zi in z])
+        q = np.array([_hyp2f1_exact(n - 1, n + a + b + 2.0, a + 2.0, zi) for zi in z])
+        step = -2.0 * (a + 1.0) * p / (c * q)
+        if np.all(x + step == x):
+            break
+        x = x + step
+    else:
+        raise ConvergenceError("boundary Gauss-Jacobi nodes did not converge", n=n, a=a, b=b)
+    # (1 - x^2) P_n'(x)^2 at the root x + step, by the Jacobi equation
+    # (1-x^2) P'' = (a - b + (a+b+2) x) P' - n (n+a+b+1) P
+    omx2 = (1.0 - x) * (1.0 + x)
+    q = q * (1.0 + step * (a - b + (a + b + 2.0) * x + c * step) / omx2)
+    omx2 = omx2 - 2.0 * x * step
+    # C_n / ((n+a+b+1)/2 * binom(n+a, n-1))^2, q being normalized to 1 at x = 1;
+    # its gamma ratio goes as n^(-2a-1), taken as n^(-2a) / n so that no
+    # rounded exponent multiplies log n
+    scale = (2.0 ** (a + b + 3.0) * math.gamma(a + 2.0) ** 2 / (c * (n + a + b + 1.0))
+             * float(n) ** (-2.0 * a) / n
+             * _gamma_ratio(n, (b + 1.0, 0.0), (a + b + 1.0, a + 1.0)))
+    return x + step, scale / (omx2 * q * q)
+
+
+def _hyp2f1_exact(m: int, b: float, c: float, z: float) -> float:
+    """2F1(-m, b; c; z) for 0 <= z small, rounded once.
+
+    b, c and z are exact binary fractions, so each term is an exact rational;
+    the sum runs in integers with _FIXED_BITS fraction bits, which leaves room
+    for the terms' growth (about e^(2 sqrt(m (m+b) z))) before they cancel.
+    """
+    bn, bd = b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    term = 1 << _FIXED_BITS
+    total = term
+    for k in range(m):
+        term = term * ((k - m) * (k * bd + bn) * zn * cd) // (bd * zd * (k * cd + cn) * (k + 1))
+        total += term
+        if abs(term) <= abs(total) >> 64:
+            break
+    return total / (1 << _FIXED_BITS)
+
+
+def _gamma_ratio(z: float, ups, downs) -> float:
+    """prod Gamma(z + u) / prod Gamma(z + d), divided by z^(sum u - sum d),
+    for large z.
+
+    That quotient is exp of the Stirling series
+    sum_k (-1)^(k+1) [sum B_(k+1)(u) - sum B_(k+1)(d)] / (k (k+1) z^k),
+    accurate to rounding for z >= 1000 and shifts of a few units. Callers
+    supply the power of z themselves: differences of lgamma values lose about
+    1e-11 at z = 32768, and a rounded exponent times log z loses 1e-15.
+    """
+    out = 0.0
+    for k in range(1, len(_BERNOULLI) - 1):
+        diff = sum(_bernoulli_poly(k + 1, u) for u in ups) - sum(
+            _bernoulli_poly(k + 1, d) for d in downs
+        )
+        out += (-1) ** (k + 1) * diff / (k * (k + 1) * z**k)
+    return math.exp(out)
+
+
+def _bernoulli_poly(m: int, x: float) -> float:
+    return sum(math.comb(m, j) * _BERNOULLI[j] * x ** (m - j) for j in range(m + 1))
+
+
 @lru_cache(maxsize=256)
 def gauss_legendre(n: int):
-    x, w = special.roots_legendre(n)
+    x, w = _gauss_jacobi_nodes(n, 0.0, 0.0)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -36,10 +245,10 @@ def gauss_legendre(n: int):
 @lru_cache(maxsize=512)
 def _gauss_jacobi_raw(n: int, alpha: float, beta: float):
     if alpha == 0.0 and beta == 0.0:
-        # not for speed (roots_jacobi(n, 0, 0) calls roots_legendre itself):
-        # sharing gauss_legendre's cache keeps one copy of each Legendre rule
+        # the Legendre case shares gauss_legendre's cache, so one copy of each
+        # Legendre rule stays alive; both build through _gauss_jacobi_nodes
         return gauss_legendre(n)
-    x, w = special.roots_jacobi(n, alpha, beta)
+    x, w = _gauss_jacobi_nodes(n, alpha, beta)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

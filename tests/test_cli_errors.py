@@ -73,3 +73,36 @@ def test_csv_grid_numerical_failure_is_reported(tmp_path, capsys):
     assert captured.err.startswith("numerical failure: ConvergenceError: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cz", "--f", "sign"],
+        ["cz", "--f", "pk:3"],
+        ["cz", "--f", "fk:3"],
+        ["report-all", "--f", "sign"],
+    ],
+)
+def test_refused_test_function_is_config_error(argv, capsys):
+    # cz_decompose needs f >= 0 on the support; report-all passes --f to cz
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert "f >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", ["kernel", "abel", "cz", "weights", "estimates", "report-all"]
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_config_error(command, source, tmp_path, capsys):
+    if source == "flag":
+        argv = [command, "--seed", "-1"]
+    else:
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"seed": -1}')
+        argv = [command, "--config", str(cfgfile)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: seed must be >= 0")
