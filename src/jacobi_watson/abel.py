@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 _MAX_SERIES_TERMS = 16384
+# The adaptive projection stops when its coefficient window and its residual
+# are both below this share of the input's scale (`_plateaued`). It is 10x
+# `_trim`'s 1e-14 cut: the quadrature noise of smooth inputs straddles that cut
+# at the first checkpoints (bump at (-0.99, 1/2) reads 1.1e-14 at k = 256), so
+# a stop at the cut itself would miss plateaus, while the noise climbs past
+# 1e-13 of max |c| only from degree 512 on.
+_PLATEAU_TOL = 1e-13
+_FIRST_CHECKPOINT = 128
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,24 @@ def _measure_rule(p: JacobiParams, order: int, breakpoints=()):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _coefficients(p: JacobiParams, x: np.ndarray, wf: np.ndarray, n_max: int):
+    """Yield c(n) = (1/h_n) sum_i wf_i P_n(x_i) for n = 0..n_max.
+
+    The library's one projection loop: it streams the shared recurrence of
+    `polynomials`, so no (n_max x nodes) table is materialized.
+    """
+    h = jacobi_norm_sequence(p, n_max)
+    for n, row in enumerate(_jacobi_rows(p, n_max, x)):
+        yield np.dot(wf, row) / h[n]
+
+
 def fourier_jacobi_coefficients(
     f, p: JacobiParams, degree: int, order: int | None = None
 ) -> Expansion:
     """Coefficients c(n) = (1/h_n) int f P_n dJ for n = 0..degree.
 
     order is the quadrature size; it must be at least degree + 1 so the rule
-    resolves every projected polynomial. The projection streams the shared
-    recurrence of `polynomials`, so no (degree x order) table is materialized.
+    resolves every projected polynomial.
     """
     if degree < 0:
         raise DomainError(f"need degree >= 0, got {degree}")
@@ -146,11 +164,7 @@ def fourier_jacobi_coefficients(
         raise DomainError(f"order {order} cannot resolve degree {degree}")
     breakpoints = getattr(f, "breakpoints", ())
     x, w = _measure_rule(p, order, breakpoints)
-    wf = w * f(x)
-    h = jacobi_norm_sequence(p, degree)
-    coeffs = np.empty(degree + 1)
-    for n, row in enumerate(_jacobi_rows(p, degree, x)):
-        coeffs[n] = np.dot(wf, row) / h[n]
+    coeffs = np.fromiter(_coefficients(p, x, w * f(x), degree), float, degree + 1)
     return Expansion(params=p, coeffs=coeffs)
 
 
@@ -177,13 +191,49 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: keep[-1] + 1]
 
 
+def _plateaued(p: JacobiParams, head: np.ndarray, x, w, fx) -> bool:
+    """True when the projection may stop at degree k = head.size - 1.
+
+    Window: the top half of the coefficients, j in [k/2, k], sits at or below
+    _PLATEAU_TOL * max |c|. Guard: the partial sum reproduces f on the rule's
+    nodes to _PLATEAU_TOL in the rule-weighted norm. On the full rule nothing
+    aliases, so a sparse spectrum (a lone P_500 behind P_3) passes the window
+    at k = 128 and 256; only the residual sees it.
+    """
+    mags = np.abs(head)
+    if mags[head.size // 2 :].max() > _PLATEAU_TOL * mags.max():
+        return False
+    resid = fx - jacobi_weighted_sum(p, head, x)
+    return float(np.dot(w, resid * resid)) <= _PLATEAU_TOL**2 * float(np.dot(w, fx * fx))
+
+
 def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
+    """Expansion of f resolved for Abel means up to r_max at tolerance tol.
+
+    The degree `_default_terms` gives (r_max^n <= tol plus a margin, capped
+    at _MAX_SERIES_TERMS) sizes the rule and bounds the projection, which
+    stops early at the first doubling checkpoint k >= _FIRST_CHECKPOINT where
+    the coefficients have plateaued (`_plateaued`), after Aurentz & Trefethen,
+    "Chopping a Chebyshev series", ACM TOMS 43 (2017). Inputs that never
+    plateau, such as a jump, run to the bound with the coefficients
+    `fourier_jacobi_coefficients` gives. The trailing noise is then trimmed.
+    """
     if isinstance(f, Expansion):
         return f
     n = _default_terms(r_max, tol)
     order = min(max(2 * (n + 1), 64), 2 * _MAX_SERIES_TERMS)
-    e = fourier_jacobi_coefficients(f, p, n, order)
-    return Expansion(params=p, coeffs=_trim(e.coeffs))
+    x, w = _measure_rule(p, order, getattr(f, "breakpoints", ()))
+    fx = f(x)
+    coeffs = np.empty(n + 1)
+    k = _FIRST_CHECKPOINT
+    for j, c in enumerate(_coefficients(p, x, w * fx, n)):
+        coeffs[j] = c
+        if j == k:
+            if _plateaued(p, coeffs[: k + 1], x, w, fx):
+                coeffs = coeffs[: k + 1]
+                break
+            k *= 2
+    return Expansion(params=p, coeffs=_trim(coeffs))
 
 
 def abel_mean(

@@ -71,9 +71,14 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
 
     This is the library's one copy of the recurrence: tables, single
     evaluations, weighted sums and coefficient projections all consume it.
-    Only two rows are alive at a time. The recurrence coefficients are nonzero
-    for n >= 2 whenever alpha, beta > -1; n = 1 uses the explicit linear
-    polynomial, so the alpha+beta = 0 degeneracy never divides by zero.
+    The recurrence coefficients are nonzero for n >= 2 whenever
+    alpha, beta > -1; n = 1 uses the explicit linear polynomial, so the
+    alpha+beta = 0 degeneracy never divides by zero.
+
+    Each step writes into one of three rotating buffers, so a yielded row is
+    valid only until the next-but-one step overwrites it: consume or copy it
+    before then. The steps keep the order ((c1 + c2*x)*cur - c3*prev)/c0, so
+    the rows are bitwise those of the allocating form.
     """
     a, b = p.alpha, p.beta
     prev = np.ones_like(x)
@@ -82,12 +87,19 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
         return
     cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     yield cur
+    nxt = np.empty_like(cur)
     for n in range(2, n_max + 1):
         c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
         c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
+        np.multiply(x, c2, out=nxt)
+        np.add(nxt, c1, out=nxt)
+        np.multiply(nxt, cur, out=nxt)
+        np.multiply(prev, c3, out=prev)
+        np.subtract(nxt, prev, out=nxt)
+        np.divide(nxt, c0, out=nxt)
+        prev, cur, nxt = cur, nxt, prev
         yield cur
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,8 @@ from jacobi_watson import (
     weak11_probe,
 )
 from jacobi_watson import test_function_family as function_family
+from jacobi_watson.abel import _as_expansion, _default_terms, _trim
+from jacobi_watson.polynomials import binomial_real
 
 
 def family(p):
@@ -201,6 +204,76 @@ class TestMaximalFunction:
             jacobi_maximal(family(p)["const"], p, 0.0, r_grid=[])
         with pytest.raises(DomainError):
             jacobi_maximal(family(p)["const"], p, 0.0, r_grid=[0.5, 1.0])
+
+
+def _mp_jacobi(a, b, n, x):
+    """P_n(x), n >= 1, by the three-term recurrence in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        prev, cur = mpmath.mpf(1), (a - b) / 2 + (a + b + 2) / 2 * x
+        for k in range(2, n + 1):
+            s = 2 * k + a + b
+            c0 = 2 * k * (k + a + b) * (s - 2)
+            c1 = (s - 1) * (a * a - b * b)
+            c2 = (s - 1) * s * (s - 2)
+            c3 = 2 * (k + a - 1) * (k + b - 1) * s
+            prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
+        return cur
+
+
+class TestAdaptiveProjection:
+    """Expansions stop at the coefficient plateau unless the residual objects."""
+
+    R_TOP = 1.0 - 2.0**-12
+    XS = np.linspace(-1.0, 1.0, 25)  # the CLI's default x grid
+    PARAMS = pytest.mark.parametrize("a,b", [(0.5, 0.5), (-0.5, -0.5)])
+
+    @PARAMS
+    def test_sparse_spectrum_is_not_chopped(self, a, b):
+        # the window over [k/2, k] reads noise at k = 128 and 256; only the
+        # residual guard sees the lone P_500
+        p = JacobiParams(a, b)
+        top = binomial_real(500 + a, 500)
+
+        def f(x):
+            return jacobi_eval(p, 3, x) + 1e-3 * jacobi_eval(p, 500, x) / top
+
+        e = _as_expansion(f, p, 0.99, 1e-8)  # degree bound 1897
+        assert e.degree >= 500
+        assert abs(e.coeffs[500] - 1e-3 / top) <= 1e-12
+
+    @PARAMS
+    def test_constant_maximal_is_one(self, a, b):
+        p = JacobiParams(a, b)
+        mx = jacobi_maximal(family(p)["const"], p, self.XS)
+        assert np.max(np.abs(mx - 1.0)) <= 1e-13
+
+    @PARAMS
+    def test_single_term_maximal_matches_oracle(self, a, b):
+        # r^3 grows with r, so the max over the grid is r_top^3 |P_3(x)|
+        p = JacobiParams(a, b)
+        mx = jacobi_maximal(family(p)["pk:3"], p, self.XS, r_grid=default_r_grid(12))
+        want = np.array(
+            [float(abs(mpmath.mpf(self.R_TOP) ** 3 * _mp_jacobi(a, b, 3, x))) for x in self.XS]
+        )
+        assert np.max(np.abs(mx - want)) <= 1e-13 * np.max(want)
+
+    @PARAMS
+    @pytest.mark.parametrize("tag", ["bump", "const", "pk:3"])
+    def test_smooth_inputs_stop_early(self, a, b, tag):
+        p = JacobiParams(a, b)
+        e = _as_expansion(family(p)[tag], p, self.R_TOP, 1e-8)
+        assert e.coeffs.size <= 512
+
+    @PARAMS
+    def test_jump_runs_to_the_bound_bitwise(self, a, b):
+        # sign never plateaus, so the adaptive projection is the fixed one
+        p = JacobiParams(a, b)
+        f = family(p)["sign"]
+        n = _default_terms(0.99, 1e-8)
+        e = _as_expansion(f, p, 0.99, 1e-8)
+        ref = _trim(fourier_jacobi_coefficients(f, p, n, 2 * (n + 1)).coeffs)
+        assert e.coeffs.tobytes() == ref.tobytes()
 
 
 def test_weak11_probe_is_finite_and_order_one():

@@ -36,6 +36,24 @@ def test_recurrence_matches_reference_evaluator(a, b):
         np.testing.assert_allclose(mine, ref, rtol=1e-11, atol=1e-13)
 
 
+@pytest.mark.parametrize("a,b", BOXES + [(0.9, -0.9)])
+def test_buffered_recurrence_is_bitwise_the_allocating_one(a, b):
+    """The rotating-buffer rows equal the plain form's, step for step."""
+    p = JacobiParams(a, b)
+    x = np.cos(np.linspace(0.0, math.pi, 257))
+    prev, cur = np.ones_like(x), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    want = [prev, cur]
+    for n in range(2, 301):
+        c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
+        c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
+        c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
+        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+        prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
+        want.append(cur)
+    assert jacobi_eval_table(p, 300, x).tobytes() == np.array(want).tobytes()
+    assert jacobi_eval(p, 300, x).tobytes() == want[-1].tobytes()
+
+
 @pytest.mark.parametrize("a,b", BOXES)
 def test_value_at_one_is_binomial(a, b):
     p = JacobiParams(a, b)

@@ -6,14 +6,7 @@ import pytest
 
 from jacobi_watson.cli import SUITES, main
 
-# abel maximal takes about 40 s at the default config; the benchmark's abel-r1
-# workload runs it
-CASES = [
-    (command, suite)
-    for command in SUITES
-    for suite in SUITES[command]
-    if (command, suite) != ("abel", "maximal")
-]
+CASES = [(command, suite) for command in SUITES for suite in SUITES[command]]
 
 
 @pytest.mark.parametrize("command,suite", CASES)
