@@ -23,7 +23,7 @@ from .polynomials import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from .quadrature import composite_rule, graded_breakpoints, _gauss_jacobi_raw
+from .quadrature import composite_rule, graded_grid, piece_edges, _gauss_jacobi_raw
 
 __all__ = [
     "Expansion",
@@ -115,28 +115,6 @@ def test_function_family(p: JacobiParams):
     ]
 
 
-def _measure_rule(p: JacobiParams, order: int, breakpoints=()):
-    """Nodes/weights integrating against J(dx) on [-1, 1], one Gauss rule per
-    smooth piece between breakpoints.
-
-    A single high-order rule per piece keeps polynomial projections exact up
-    to the rule degree; subdividing instead would alias high-degree modes.
-    """
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    bps = sorted(b for b in breakpoints if -1.0 < b < 1.0)
-    if not bps:
-        x, w = _gauss_jacobi_raw(order, p.alpha, p.beta)
-        return x, w
-    edges = [-1.0] + bps + [1.0]
-    per_piece = max(24, order // (len(edges) - 1))
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, ww = m.cell_rule(lo, hi, per_piece)
-        nodes.append(t)
-        weights.append(ww)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _coefficients(p: JacobiParams, x: np.ndarray, wf: np.ndarray, n_max: int):
     """Yield c(n) = (1/h_n) sum_i wf_i P_n(x_i) for n = 0..n_max.
 
@@ -162,8 +140,8 @@ def fourier_jacobi_coefficients(
         order = max(2 * (degree + 1), 64)
     if order < degree + 1:
         raise DomainError(f"order {order} cannot resolve degree {degree}")
-    breakpoints = getattr(f, "breakpoints", ())
-    x, w = _measure_rule(p, order, breakpoints)
+    m = WeightedMeasure.jacobi(p.alpha, p.beta)
+    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
     coeffs = np.fromiter(_coefficients(p, x, w * f(x), degree), float, degree + 1)
     return Expansion(params=p, coeffs=coeffs)
 
@@ -222,7 +200,8 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
         return f
     n = _default_terms(r_max, tol)
     order = min(max(2 * (n + 1), 64), 2 * _MAX_SERIES_TERMS)
-    x, w = _measure_rule(p, order, getattr(f, "breakpoints", ()))
+    m = WeightedMeasure.jacobi(p.alpha, p.beta)
+    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
     fx = f(x)
     coeffs = np.empty(n + 1)
     k = _FIRST_CHECKPOINT
@@ -261,8 +240,8 @@ def abel_mean(
         raise DomainError(f"unknown route {route!r}")
     if order is None:
         order = 1024 if r > 0.9 else 512
-    breakpoints = getattr(f, "breakpoints", ())
-    ynodes, yweights = _measure_rule(p, order, breakpoints)
+    m = WeightedMeasure.jacobi(p.alpha, p.beta)
+    ynodes, yweights = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
     if isinstance(f, Expansion):
         fvals = jacobi_weighted_sum(p, f.coeffs, ynodes)
     else:
@@ -304,10 +283,8 @@ def modified_abel_mean(
         raise DomainError(f"unknown route {route!r}")
     # the end cells carry an unabsorbed integrable singularity; their mass is
     # ~ min_scale^(1 + e/2) ~ 1e-9 at worst, and nodes stay clear of +-1
-    pts = set()
-    pts.update(graded_breakpoints(-1.0, 1.0, lean_left=True, min_scale=1e-12))
-    pts.update(graded_breakpoints(-1.0, 1.0, lean_left=False, min_scale=1e-12))
-    ynodes, yweights = composite_rule(sorted(pts), max(12, order // 8))
+    grid = graded_grid(-1.0, 1.0, min_scale=1e-12)
+    ynodes, yweights = composite_rule(grid, max(12, order // 8))
     row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
     return wx * float(np.dot(yweights, row[0] * _half_weight(p, ynodes) * f(ynodes)))
 
@@ -339,11 +316,11 @@ def lp_norm(f, p: JacobiParams, p_exp: float, order: int = 256) -> float:
     """Lp norm with respect to J(dx); p_exp = inf takes a dense-grid sup."""
     if p_exp != math.inf and p_exp < 1.0:
         raise DomainError(f"need p >= 1, got {p_exp}")
-    breakpoints = getattr(f, "breakpoints", ())
     if p_exp == math.inf:
         xs = np.cos(np.linspace(0.0, math.pi, 4096))[1:-1]
         return float(np.max(np.abs(f(xs))))
-    x, w = _measure_rule(p, order, breakpoints)
+    m = WeightedMeasure.jacobi(p.alpha, p.beta)
+    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
     return float(np.dot(w, np.abs(f(x)) ** p_exp)) ** (1.0 / p_exp)
 
 
@@ -365,20 +342,13 @@ def lp_convergence_probe(
         raise DomainError("r sequence must lie inside (0, 1)")
     e = _as_expansion(f, p, float(rs.max()), tol)
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    breakpoints = getattr(f, "breakpoints", ())
-    edges = [-1.0] + sorted(b for b in breakpoints if -1.0 < b < 1.0) + [1.0]
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts = set()
-        pts.update(graded_breakpoints(lo, hi, lean_left=True, min_scale=1e-10))
-        pts.update(graded_breakpoints(lo, hi, lean_left=False, min_scale=1e-10))
-        cells = sorted(pts)
-        for cl, cr in zip(cells[:-1], cells[1:]):
-            t, w = m.cell_rule(cl, cr, n_cell)
-            nodes.append(t)
-            weights.append(w)
-    x = np.concatenate(nodes)
-    w = np.concatenate(weights)
+    pieces = piece_edges(-1.0, 1.0, getattr(f, "breakpoints", ()))
+    rules = [
+        m.cell_rules(graded_grid(lo, hi, min_scale=1e-10), n_cell)
+        for lo, hi in zip(pieces[:-1], pieces[1:])
+    ]
+    x = np.concatenate([t for t, _ in rules])
+    w = np.concatenate([w for _, w in rules])
     if isinstance(f, Expansion):
         fx = jacobi_weighted_sum(p, f.coeffs, x)
     else:
@@ -415,9 +385,7 @@ def weak11_probe(
     edges = np.cos(theta)
     mids = 0.5 * (edges[:-1] + edges[1:])
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    masses = np.array(
-        [m.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])]
-    )
+    masses = m.cell_masses(edges)
     maximal = jacobi_maximal(f, p, mids, r_grid=r_grid, tol=tol)
     norm1 = lp_norm(f, p, 1.0)
     worst = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 from .measure import WeightedMeasure, equal_measure_split, interval_mass
-from .quadrature import graded_breakpoints
+from .quadrature import graded_breakpoints, graded_grid, piece_edges
 
 __all__ = [
     "CZDecomposition",
@@ -54,27 +54,20 @@ def _window_grid(m: WeightedMeasure, window_family) -> np.ndarray:
     n_uniform = 256 if window_family is None else int(window_family)
     if n_uniform < 4:
         raise DomainError(f"need at least 4 grid points, got {n_uniform}")
-    left = graded_breakpoints(a, b, lean_left=True, min_scale=1e-10, n_uniform=n_uniform)
-    right = graded_breakpoints(a, b, lean_left=False, min_scale=1e-10, n_uniform=n_uniform)
-    return np.unique(np.concatenate([left, right]))
+    return graded_grid(a, b, min_scale=1e-10, n_uniform=n_uniform)
+
+
+def _cell_sums(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Per-cell dot products of w and v on a rule with n nodes per cell."""
+    return np.array([np.dot(wc, vc) for wc, vc in zip(w.reshape(-1, n), v.reshape(-1, n))])
 
 
 def _cell_data(m: WeightedMeasure, f, grid: np.ndarray, n_quad: int):
     """Per-cell exact masses and quadrature integrals of |f| d(mu)."""
-    bps = sorted(
-        b for b in getattr(f, "breakpoints", ()) if grid[0] < b < grid[-1]
-    )
-    if bps:
-        grid = np.unique(np.concatenate([grid, np.asarray(bps)]))
-    n = grid.size - 1
-    masses = np.empty(n)
-    integrals = np.empty(n)
-    for i in range(n):
-        l, r = grid[i], grid[i + 1]
-        masses[i] = m.interval_mass_exact(l, r)
-        t, w = m.cell_rule(l, r, n_quad)
-        integrals[i] = float(np.dot(w, np.abs(f(t))))
-    return grid, masses, integrals
+    cuts = piece_edges(grid[0], grid[-1], getattr(f, "breakpoints", ()))
+    grid = np.unique(np.concatenate([grid, cuts]))
+    t, w = m.cell_rules(grid, n_quad)
+    return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), n_quad)
 
 
 def _maximal_profile(masses: np.ndarray, integrals: np.ndarray) -> np.ndarray:
@@ -184,28 +177,15 @@ class CZDecomposition:
     trivial: bool = False
 
 
-def _piecewise_integral(m: WeightedMeasure, f, l: float, r: float, n_quad: int) -> float:
-    bps = sorted(b for b in getattr(f, "breakpoints", ()) if l < b < r)
-    edges = [l] + bps + [r]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = m.cell_rule(lo, hi, n_quad)
-        total += float(np.dot(w, f(t)))
-    return total
-
-
 def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float, n_quad: int):
     """Integral of f dmu plus the max of f over the quadrature nodes; the
     node max certifies cells that can never produce a selectable child."""
-    bps = sorted(b for b in getattr(f, "breakpoints", ()) if l < b < r)
-    edges = [l] + bps + [r]
-    total, top = 0.0, -math.inf
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = m.cell_rule(lo, hi, n_quad)
-        fv = np.asarray(f(t), dtype=float)
-        total += float(np.dot(w, fv))
-        top = max(top, float(np.max(fv)))
-    return total, top
+    t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), n_quad)
+    fv = np.asarray(f(t), dtype=float)
+    total = 0.0
+    for part in _cell_sums(w, fv, n_quad):
+        total += float(part)
+    return total, float(np.max(fv))
 
 
 def _extend_by_mass(m: WeightedMeasure, point: float, target: float, direction: str) -> float:
@@ -276,7 +256,7 @@ def cz_decompose(
         raise DomainError("decomposition requires f >= 0 on the support")
 
     total_mass = m.interval_mass_exact(a, b)
-    norm1 = _piecewise_integral(m, f, a, b, n_quad)
+    norm1 = _integral_and_sup(m, f, a, b, n_quad)[0]
     mass_floor = min_mass_rel * total_mass
 
     def _evaluators(selected):
@@ -337,13 +317,12 @@ def cz_decompose(
             raise AssertionError("both halves exceed the threshold")
     selected.sort(key=lambda iv: iv[0])
 
-    mass_G = sum(m.interval_mass_exact(l, r) for l, r, _ in selected)
-    inflated = []
-    for l, r, _ in selected:
-        mu = m.interval_mass_exact(l, r)
-        inflated.append(
-            (_extend_by_mass(m, l, mu, "left"), _extend_by_mass(m, r, mu, "right"))
-        )
+    mus = [m.interval_mass_exact(l, r) for l, r, _ in selected]
+    mass_G = sum(mus)
+    inflated = [
+        (_extend_by_mass(m, l, mu, "left"), _extend_by_mass(m, r, mu, "right"))
+        for (l, r, _), mu in zip(selected, mus)
+    ]
     mass_gstar, merged = _merged_mass(m, inflated)
     good, bad = _evaluators(selected)
     return CZDecomposition(
@@ -434,6 +413,20 @@ def zygmund_constants(
     return ZygmundConstants(M1=m1, M2=m2, M=m1 + 2.0 * m2, stable=stable, m2_trace=tuple(trace))
 
 
+def _kernel_sups(kernel, m: WeightedMeasure, f, r_grid, xs, order: int) -> list:
+    """sup over the r grid of |int K(r, x, .) f dmu| at each x, on m's rule."""
+    rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    nodes, weights = m.quadrature_rule(order)
+    fvals = np.asarray(f(nodes), dtype=float)
+    return [
+        max(
+            abs(float(np.dot(weights, np.asarray(kernel(float(r), float(x), nodes)) * fvals)))
+            for r in rs
+        )
+        for x in xs
+    ]
+
+
 def zygmund_bound_check(
     kernel,
     m: WeightedMeasure,
@@ -442,29 +435,18 @@ def zygmund_bound_check(
     x_grid,
     constants: ZygmundConstants | None = None,
     order: int = 512,
-    window_family=None,
 ) -> float:
     """Worst ratio over the x grid of sup_r |int K f dmu| against
     (M1 + 2 M2) times the maximal function; at most 1 + discretization slack
     when the variation constants hold."""
     if constants is None:
         constants = zygmund_constants(kernel, m, r_grid, x_grid)
-    rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    nodes, weights = m.quadrature_rule(order)
-    fvals = np.asarray(f(nodes), dtype=float)
-    fstar = hl_maximal(m, f, xs, window_family=window_family)
-    worst = 0.0
-    tiny = 1e-14 * max(1.0, float(np.max(fstar)))
-    for x, fs in zip(xs, np.atleast_1d(fstar)):
-        if fs <= tiny:
-            continue
-        t = max(
-            abs(float(np.dot(weights, np.asarray(kernel(float(r), float(x), nodes)) * fvals)))
-            for r in rs
-        )
-        worst = max(worst, t / (constants.M * fs))
-    return worst
+    fstar = hl_maximal(m, f, xs)
+    # points where the maximal function vanishes bound nothing
+    keep = fstar > 1e-14 * max(1.0, float(np.max(fstar)))
+    sups = _kernel_sups(kernel, m, f, r_grid, xs[keep], order)
+    return max([0.0] + [t / (constants.M * fs) for t, fs in zip(sups, fstar[keep])])
 
 
 def kernel_level_bound_check(
@@ -488,17 +470,7 @@ def kernel_level_bound_check(
     xs = xs[outside]
     if xs.size == 0:
         return 0.0
-    rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    nodes, weights = m.quadrature_rule(order)
-    fvals = np.asarray(f(nodes), dtype=float)
-    worst = 0.0
-    for x in xs:
-        t = max(
-            abs(float(np.dot(weights, np.asarray(kernel(float(r), float(x), nodes)) * fvals)))
-            for r in rs
-        )
-        worst = max(worst, t)
-    return worst / lam
+    return max([0.0] + _kernel_sups(kernel, m, f, r_grid, xs, order)) / lam
 
 
 # ---- weights ---------------------------------------------------------------
@@ -569,12 +541,6 @@ def weighted_interval_average(m: WeightedMeasure, w: PowerWeight, interval) -> f
     return interval_mass(mw, (l, r)) / base
 
 
-def _grid_masses(meas: WeightedMeasure, grid: np.ndarray) -> np.ndarray:
-    return np.array(
-        [meas.interval_mass_exact(l, r) for l, r in zip(grid[:-1], grid[1:])]
-    )
-
-
 def _window_sup(base, top, dual, p_exp: float) -> float:
     """sup over grid windows of (top/base) (dual/base)^(p-1), from per-cell
     masses; windows of zero base mass are skipped."""
@@ -594,7 +560,6 @@ def ap_constant(
     w: PowerWeight,
     m: WeightedMeasure,
     p_exp: float,
-    interval_family=None,
     grid_size: int = 512,
 ) -> float:
     """Muckenhoupt characteristic: sup over the interval family of
@@ -610,38 +575,26 @@ def ap_constant(
     mv = _combined_measure(m, w, -1.0 / (p_exp - 1.0))
     if mw is None or mv is None:
         return math.inf
-    grid = _window_grid(m, interval_family if interval_family is not None else grid_size)
-    base = _grid_masses(m, grid)
-    top = _grid_masses(mw, grid)
-    dual = _grid_masses(mv, grid)
-    return _window_sup(base, top, dual, p_exp)
+    grid = _window_grid(m, grid_size)
+    return _window_sup(m.cell_masses(grid), mw.cell_masses(grid), mv.cell_masses(grid), p_exp)
 
 
 def a1_constant(
     w: PowerWeight,
     m: WeightedMeasure,
-    x_grid=None,
     grid_size: int = 512,
 ) -> float:
-    """sup over the grid of (maximal function of w in dmu) / w, with the
-    maximal function computed from exact product-measure masses."""
+    """sup over the grid's cell midpoints of (maximal function of w in dmu) / w,
+    with the maximal function computed from exact product-measure masses."""
     mw = _combined_measure(m, w, 1.0)
     if mw is None:
         return math.inf
     grid = _window_grid(m, grid_size)
-    masses = _grid_masses(m, grid)
-    wmasses = _grid_masses(mw, grid)
-    profile = _maximal_profile(masses, wmasses)
-    if x_grid is None:
-        keep = masses > 0.0
-        mids = (0.5 * (grid[:-1] + grid[1:]))[keep]
-        vals = profile[keep]
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-        idx = _locate(grid, xs)
-        mids = xs
-        vals = profile[idx]
-    return float(np.max(vals / w(mids)))
+    masses = m.cell_masses(grid)
+    profile = _maximal_profile(masses, mw.cell_masses(grid))
+    keep = masses > 0.0
+    mids = (0.5 * (grid[:-1] + grid[1:]))[keep]
+    return float(np.max(profile[keep] / w(mids)))
 
 
 def ap_divergence_probe(
@@ -664,20 +617,11 @@ def ap_divergence_probe(
     sups = []
     for j in range(1, levels + 1):
         delta = width * 0.25**j
-        lo, hi = a + delta, b - delta
-        pts = set()
-        pts.update(graded_breakpoints(lo, hi, lean_left=True, min_scale=1e-6, n_uniform=grid_size))
-        pts.update(graded_breakpoints(lo, hi, lean_left=False, min_scale=1e-6, n_uniform=grid_size))
-        grid = np.array(sorted(pts))
-        base = np.empty(grid.size - 1)
-        top = np.empty(grid.size - 1)
-        dual = np.empty(grid.size - 1)
-        for i in range(grid.size - 1):
-            t, wt = m.cell_rule(grid[i], grid[i + 1], n_quad)
-            wv = w(t)
-            base[i] = float(np.sum(wt))
-            top[i] = float(np.dot(wt, wv))
-            dual[i] = float(np.dot(wt, wv**s))
-        sups.append(_window_sup(base, top, dual, p_exp))
+        grid = graded_grid(a + delta, b - delta, min_scale=1e-6, n_uniform=grid_size)
+        t, wt = m.cell_rules(grid, n_quad)
+        wv = w(t)
+        base = wt.reshape(-1, n_quad).sum(axis=1)
+        top = _cell_sums(wt, wv, n_quad)
+        sups.append(_window_sup(base, top, _cell_sums(wt, wv**s, n_quad), p_exp))
     divergent = sups[-1] > 10.0 * sups[0]
     return {"sups": sups, "divergent": divergent}

@@ -481,23 +481,9 @@ def modified_watson_kernel(
     return base * (_half_weight(p, x) * _half_weight(p, y))
 
 
-def kernel_mass(
-    p: JacobiParams,
-    ab: AbelParameter,
-    x: float,
-    nodes: int | None = None,
-    method: str = "series",
-) -> float:
+def kernel_mass(p: JacobiParams, ab: AbelParameter, x: float) -> float:
     """Quadrature of K(r, x, .) against the Jacobi measure; the exact value is 1."""
     r = ab.r
-    if nodes is None:
-        nodes = 2048 if r > 0.95 else 1024 if r > 0.8 else 512
-    rule = gauss_jacobi_rule(p, nodes)
-    if method == "series":
-        row, _, _ = watson_series_matrix(p, r, np.array([x]), rule.nodes, tol_abs=1e-13)
-        vals = row[0]
-    elif method == "best":
-        vals = np.array([watson_kernel(p, ab, x, float(yj)).value for yj in rule.nodes])
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return float(np.dot(rule.weights, vals))
+    rule = gauss_jacobi_rule(p, 2048 if r > 0.95 else 1024 if r > 0.8 else 512)
+    row, _, _ = watson_series_matrix(p, r, np.array([x]), rule.nodes, tol_abs=1e-13)
+    return float(np.dot(rule.weights, row[0]))

@@ -10,14 +10,13 @@ back to local quadrature so relative precision survives cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import DegenerateInputError, DomainError
-from .quadrature import gauss_legendre, graded_breakpoints, _gauss_jacobi_raw
+from .quadrature import gauss_legendre, graded_breakpoints, piece_edges, _gauss_jacobi_raw
 
 __all__ = [
     "WeightedMeasure",
@@ -161,9 +160,7 @@ class WeightedMeasure:
             else:
                 lo, hi = -r, -l
             if lo <= 0.0:
-                return hi ** (p + 1.0) / (p + 1.0) - (
-                    lo ** (p + 1.0) / (p + 1.0) if lo > 0.0 else 0.0
-                )
+                return hi ** (p + 1.0) / (p + 1.0)
             # hi^(p+1) - lo^(p+1) without cancellation
             return lo ** (p + 1.0) * math.expm1((p + 1.0) * math.log(hi / lo)) / (p + 1.0)
         if r - l < _TINY_REL * (b - a):
@@ -248,13 +245,31 @@ class WeightedMeasure:
             w = w * np.abs(t - c) ** e
         return t, w
 
-    def quadrature_rule(self, n: int):
-        """Rule for the whole support, graded into cells toward the endpoints."""
+    def cell_rules(self, edges, n: int):
+        """`cell_rule` on each cell between consecutive edges, concatenated:
+        n nodes per cell, so reshape(-1, n) gives one row per cell."""
+        rules = [self.cell_rule(l, r, n) for l, r in zip(edges[:-1], edges[1:])]
+        return np.concatenate([t for t, _ in rules]), np.concatenate([w for _, w in rules])
+
+    def cell_masses(self, edges) -> np.ndarray:
+        """`interval_mass_exact` of each cell between consecutive edges."""
+        return np.array([self.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])])
+
+    def quadrature_rule(self, n: int, breakpoints=()):
+        """Rule for the whole support, split at the breakpoints inside it.
+
+        Each piece between breakpoints gets one Gauss rule, which keeps
+        polynomial projections exact up to the rule degree; subdividing
+        instead would alias high-degree modes. Without breakpoints a product
+        measure is graded into cells toward its ends and anchors.
+        """
         a, b = self.support
+        edges = piece_edges(a, b, breakpoints)
+        if len(edges) > 2:
+            return self.cell_rules(edges, max(24, n // (len(edges) - 1)))
         if self.family == "jacobi":
             alpha, beta = self.params
-            x, w = _gauss_jacobi_raw(n, alpha, beta)
-            return x, w
+            return _gauss_jacobi_raw(n, alpha, beta)
         if self.family == "lebesgue":
             xi, wi = gauss_legendre(n)
             half = 0.5 * (b - a)
@@ -262,13 +277,7 @@ class WeightedMeasure:
         if self.family == "power":
             return self.cell_rule(a, b, n)
         bp, _ = self._cumulative_table()
-        per_cell = max(8, n // 8)
-        nodes, weights = [], []
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            t, w = self.cell_rule(lo, hi, per_cell)
-            nodes.append(t)
-            weights.append(w)
-        return np.concatenate(nodes), np.concatenate(weights)
+        return self.cell_rules(bp, max(8, n // 8))
 
 
 @dataclass(frozen=True)

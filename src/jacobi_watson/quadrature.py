@@ -21,6 +21,8 @@ __all__ = [
     "gauss_legendre",
     "interval_rule",
     "graded_breakpoints",
+    "graded_grid",
+    "piece_edges",
     "composite_rule",
     "sqrt_left_rule",
 ]
@@ -304,6 +306,19 @@ def graded_breakpoints(
     if lean_left:
         return l + width * rel
     return r - width * rel[::-1]
+
+
+def graded_grid(l: float, r: float, min_scale: float, n_uniform: int = 4) -> np.ndarray:
+    """Sorted union of the breakpoints of [l, r] graded toward either end."""
+    left = graded_breakpoints(l, r, lean_left=True, min_scale=min_scale, n_uniform=n_uniform)
+    right = graded_breakpoints(l, r, lean_left=False, min_scale=min_scale, n_uniform=n_uniform)
+    return np.unique(np.concatenate([left, right]))
+
+
+def piece_edges(l: float, r: float, breakpoints) -> list:
+    """Edges of the smooth pieces of [l, r]: l, the breakpoints strictly
+    inside in ascending order, then r."""
+    return [l] + sorted(b for b in breakpoints if l < b < r) + [r]
 
 
 def composite_rule(breakpoints, n: int, e_left: float = 0.0, e_right: float = 0.0):

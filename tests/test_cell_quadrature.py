@@ -1,0 +1,129 @@
+"""The measure layer's cell quadrature: two-sided graded grids, breakpoint
+splits, concatenated cell rules and cell masses."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import special
+
+from jacobi_watson.measure import WeightedMeasure
+from jacobi_watson.quadrature import graded_breakpoints, graded_grid, piece_edges
+
+MEASURES = {
+    "jacobi": WeightedMeasure.jacobi(-0.9, 0.3),
+    "jacobi-half": WeightedMeasure.jacobi(0.5, 0.5),
+    "power": WeightedMeasure.power(-0.6),
+    "power-left": WeightedMeasure.power(1.5, (-1.0, 0.0)),
+    "product": WeightedMeasure.product(((0.0, -0.4), (1.0, 0.7)), (0.0, 1.0)),
+    "product-interior": WeightedMeasure.product(((0.0, -0.5), (0.5, 1.2), (1.0, 0.3)), (0.0, 1.0)),
+}
+
+
+GRIDS = [(-1.0, 1.0, 1e-12, 4), (0.0, 1.0, 1e-10, 256), (0.25, 0.75, 1e-6, 128), (-1.0, 0.3, 1e-15, 7)]
+# graded_breakpoints computes the far end as l + (r - l), or the near end as
+# r - (r - l), which can round off the interval's end by an ulp
+OFF_BY_AN_ULP = pytest.mark.xfail(strict=True, reason="grading end rounds off l or r")
+
+
+@pytest.mark.parametrize("l, r, min_scale, n_uniform", GRIDS)
+def test_graded_grid_is_the_union_of_both_gradings(l, r, min_scale, n_uniform):
+    g = graded_grid(l, r, min_scale=min_scale, n_uniform=n_uniform)
+    assert np.all(np.diff(g) > 0.0)
+    kw = {"min_scale": min_scale, "n_uniform": n_uniform}
+    left = graded_breakpoints(l, r, lean_left=True, **kw)
+    right = graded_breakpoints(l, r, lean_left=False, **kw)
+    assert set(g.tolist()) == set(left.tolist()) | set(right.tolist())
+
+
+@pytest.mark.parametrize(
+    "l, r",
+    [(l, r) for l, r, _, _ in GRIDS[:3]]
+    + [pytest.param(-1.0, 0.3, marks=OFF_BY_AN_ULP), pytest.param(-1.0, 1.0 - 1e-5, marks=OFF_BY_AN_ULP)],
+)
+def test_graded_grid_spans_exactly_its_interval(l, r):
+    g = graded_grid(l, r, min_scale=1e-10)
+    assert (g[0], g[-1]) == (l, r)
+    assert np.all(np.diff(g) > 1e-12 * (r - l))
+
+
+def test_piece_edges_keep_only_breakpoints_strictly_inside():
+    assert piece_edges(-1.0, 1.0, (0.5, -2.0, 1.0, -0.25, -1.0)) == [-1.0, -0.25, 0.5, 1.0]
+    assert piece_edges(0.0, 1.0, ()) == [0.0, 1.0]
+    assert piece_edges(0.0, 1.0, np.array([0.75, 0.25])) == [0.0, 0.25, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            # cell_rule forms |t - c| from rounded nodes t next to an anchor c != 0:
+            # the tiny-cell masses next to x = 1 lose up to 2e-8 relative
+            marks=pytest.mark.xfail(strict=True, reason="cancellation in |t - c|")
+            if name == "jacobi" else (),
+        )
+        for name in sorted(MEASURES)
+    ],
+)
+def test_cell_masses_sum_to_the_interval_mass(name):
+    m = MEASURES[name]
+    a, b = m.support
+    for lo, hi in ((a, b), (a + 0.1 * (b - a), b - 0.3 * (b - a))):
+        edges = graded_grid(lo, hi, min_scale=1e-10, n_uniform=32)
+        masses = m.cell_masses(edges)
+        assert masses.shape == (edges.size - 1,) and np.all(masses > 0.0)
+        want = m.interval_mass_exact(lo, hi)
+        assert math.fsum(masses) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_cell_rules_are_cell_rule_rows(name):
+    m = MEASURES[name]
+    edges = graded_grid(*m.support, min_scale=1e-8, n_uniform=8)
+    if name == "product-interior":
+        edges = np.unique(np.concatenate([edges, [0.5]]))
+    t, w = m.cell_rules(edges, 6)
+    assert t.shape == w.shape == (6 * (edges.size - 1),)
+    for row, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        tc, wc = m.cell_rule(lo, hi, 6)
+        assert np.array_equal(t.reshape(-1, 6)[row], tc)
+        assert np.array_equal(w.reshape(-1, 6)[row], wc)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_cell_rules_with_an_anchor_at_each_end_are_gauss_exact(n):
+    # int_0^1 x^k x^e0 (1-x)^e1 dx = B(k + e0 + 1, e1 + 1): with both anchors at
+    # cell ends the rule is Gauss-Jacobi, exact up to degree 2n - 1
+    e0, e1 = -0.4, 0.7
+    m = MEASURES["product"]
+    t, w = m.cell_rules([0.0, 1.0], n)
+    for k in range(2 * n):
+        want = special.beta(k + e0 + 1.0, e1 + 1.0)
+        assert float(np.dot(w, t**k)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, -0.5), (-0.9, 0.3), (1.5, 0.2)])
+@pytest.mark.parametrize("breaks", [(0.0,), (-0.3, 0.0, 0.4), (0.0, -1.0, 1.0, 3.0)])
+def test_quadrature_rule_splits_at_breakpoints(ab, breaks):
+    alpha, beta = ab
+    m = WeightedMeasure.jacobi(alpha, beta)
+    n = 96
+    x, w = m.quadrature_rule(n, breaks)
+    edges = piece_edges(-1.0, 1.0, breaks)
+    per_piece = x.size // (len(edges) - 1)
+    assert per_piece == max(24, n // (len(edges) - 1))
+    for row, lo, hi in zip(x.reshape(-1, per_piece), edges[:-1], edges[1:]):
+        assert np.all((row > lo) & (row < hi))
+    # int sign dJ = J[0, 1] - J[-1, 0], with J[-1, 0] = scale * I_(1/2)(beta + 1, alpha + 1)
+    scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
+    want = scale * (1.0 - 2.0 * special.betainc(beta + 1.0, alpha + 1.0, 0.5))
+    assert float(np.dot(w, np.sign(x))) == pytest.approx(want, rel=1e-13, abs=1e-14 * scale)
+
+
+@pytest.mark.parametrize("breaks", [(), (-1.0, 1.0), (1.5, -7.0)])
+def test_quadrature_rule_without_inside_breakpoints_is_the_plain_rule(breaks):
+    m = WeightedMeasure.jacobi(0.5, -0.5)
+    x, w = m.quadrature_rule(64, breaks)
+    x0, w0 = m.quadrature_rule(64)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)

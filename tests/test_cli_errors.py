@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from jacobi_watson.cli import main
+from jacobi_watson.cli import RunConfig, main
+from jacobi_watson.errors import DomainError
 
 
 @pytest.mark.parametrize(
@@ -106,3 +107,30 @@ def test_negative_seed_is_config_error(command, source, tmp_path, capsys):
         argv = [command, "--config", str(cfgfile)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error: seed must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abel", "--suite", "mean", "--f", "fk:3", "--alpha", "0.9", "--beta", "-0.9"],
+        ["abel", "--suite", "lp", "--f", "fk:3", "--alpha", "0.9", "--beta", "-0.9"],
+        ["abel", "--suite", "maximal", "--f", "fk:3", "--alpha", "-0.7", "--beta", "0.2"],
+        ["abel", "--format", "csv", "--f", "fk:3", "--alpha", "0.9", "--beta", "-0.9"],
+        ["report-all", "--f", "fk:3", "--beta", "-0.8"],
+    ],
+)
+def test_fk3_outside_l1_is_config_error(argv, capsys):
+    # fk:3 J(dx) behaves like (1 -+ x)^(3e/2) at an end of exponent e, which is
+    # not integrable for e <= -2/3
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert "not in L^1(J)" in captured.err
+    assert captured.out == ""
+
+
+def test_fk3_refusal_starts_at_minus_two_thirds():
+    with pytest.raises(DomainError, match="L\\^1"):
+        RunConfig("abel", "mean", alpha=-2.0 / 3.0, f_name="fk:3").validate()
+    RunConfig("abel", "mean", alpha=0.5, beta=-0.66, f_name="fk:3").validate()
+    RunConfig("abel", "mean", alpha=-0.9, beta=-0.9, f_name="pk:3").validate()
