@@ -8,7 +8,7 @@ function over the Abel parameter, and convergence diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .polynomials import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from .quadrature import composite_rule, graded_grid, piece_edges, _gauss_jacobi_raw
+from .quadrature import composite_rule, graded_breakpoints, graded_grid, piece_edges
+from .quadrature import _gauss_jacobi_raw
 
 __all__ = [
     "Expansion",
@@ -77,19 +78,22 @@ class Expansion:
         h = jacobi_norm_sequence(self.params, self.degree)
         return float(np.sum(self.coeffs**2 * h))
 
+    def __call__(self, x):
+        """The represented sum, sum_n c(n) P_n(x), at each x."""
+        return jacobi_weighted_sum(self.params, self.coeffs, x)
+
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """Named pointwise function on [-1, 1] with optional smoothness breakpoints.
 
     breakpoints lists interior points where the function is not smooth, so
-    quadrature rules can split there. p_norms caches computed Lp(J) norms.
+    quadrature rules can split there.
     """
 
     tag: str
     fn: object
     breakpoints: tuple = ()
-    p_norms: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -199,10 +203,19 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     if isinstance(f, Expansion):
         return f
     n = _default_terms(r_max, tol)
-    order = min(max(2 * (n + 1), 64), 2 * _MAX_SERIES_TERMS)
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
-    fx = f(x)
+    x, w = m.quadrature_rule(_rule_size(n), getattr(f, "breakpoints", ()))
+    return _project(p, x, w, f(x), n)
+
+
+def _rule_size(n: int) -> int:
+    """Nodes of the rule that projects onto degrees up to n."""
+    return min(max(2 * (n + 1), 64), 2 * _MAX_SERIES_TERMS)
+
+
+def _project(p: JacobiParams, x, w, fx, n: int) -> Expansion:
+    """Expansion of the values fx on the rule (x, w) for J, stopped at the
+    first plateaued checkpoint up to degree n and trimmed."""
     coeffs = np.empty(n + 1)
     k = _FIRST_CHECKPOINT
     for j, c in enumerate(_coefficients(p, x, w * fx, n)):
@@ -213,6 +226,12 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
                 break
             k *= 2
     return Expansion(params=p, coeffs=_trim(coeffs))
+
+
+def _damped_sum(e: Expansion, rs: np.ndarray, x) -> np.ndarray:
+    """Abel means sum_n r^n c(n) P_n(x), one row per r of rs, in one pass."""
+    n = np.arange(e.coeffs.size)
+    return jacobi_weighted_sum(e.params, rs[:, None] ** n[None, :] * e.coeffs[None, :], x)
 
 
 def abel_mean(
@@ -232,9 +251,7 @@ def abel_mean(
     """
     r = ab.r
     if route == "series":
-        e = _as_expansion(f, p, r, tol)
-        damped = e.coeffs * r ** np.arange(e.coeffs.size)
-        vals = jacobi_weighted_sum(p, damped, x)
+        vals = _damped_sum(_as_expansion(f, p, r, tol), np.array([r]), x)[0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
@@ -242,13 +259,9 @@ def abel_mean(
         order = 1024 if r > 0.9 else 512
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
     ynodes, yweights = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
-    if isinstance(f, Expansion):
-        fvals = jacobi_weighted_sum(p, f.coeffs, ynodes)
-    else:
-        fvals = f(ynodes)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=tol * 1e-3)
-    vals = mat @ (yweights * fvals)
+    vals = mat @ (yweights * f(ynodes))
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -262,29 +275,39 @@ def modified_abel_mean(
     f_exponents: tuple[float, float] = (0.0, 0.0),
 ) -> float:
     """Abel mean of the Jacobi-function expansion, a Lebesgue-measure integral
-    of the half-weighted kernel.
+    of the half-weighted kernel, at a scalar x.
 
-    route "halfweight" folds (1-y)^(a/2) (1+y)^(b/2) into the quadrature
-    weights and integrates K(x, y) f(y); route "lebesgue" evaluates the full
-    modified-kernel integrand on graded Gauss-Legendre cells, so the two
-    routes share no nodes or weight machinery. f_exponents = (at -1, at +1)
-    declares endpoint exponents carried by f itself; the halfweight rule then
-    absorbs them too, keeping eigenfunction integrands polynomial.
+    route "halfweight" is hw(x) times the Abel mean of f / hw, with
+    hw = (1-y)^(a/2) (1+y)^(b/2): the shared adaptive expansion, projected on
+    a Gauss-Jacobi rule that absorbs hw and whose size follows r. The
+    reference route "lebesgue" integrates the full modified-kernel integrand
+    (the Watson series) on Gauss-Legendre cells graded toward +-1 and toward
+    x, where the kernel peaks with width about 1 - r; `order` sizes its cells.
+    The two routes share no nodes or weight machinery. f_exponents = (at -1,
+    at +1) declares endpoint exponents carried by f itself; the halfweight
+    rule then absorbs them too, keeping eigenfunction integrands polynomial.
     """
     r = ab.r
     el, er = f_exponents
     wx = _half_weight(p, x)
     if route == "halfweight":
-        ynodes, yweights = _gauss_jacobi_raw(order, 0.5 * p.alpha + er, 0.5 * p.beta + el)
-        row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
-        rest = f(ynodes) / ((1.0 - ynodes) ** er * (1.0 + ynodes) ** el)
-        return wx * float(np.dot(yweights, row[0] * rest))
+        n = _default_terms(r, 1e-12)
+        y, w = _gauss_jacobi_raw(_rule_size(n), 0.5 * p.alpha + er, 0.5 * p.beta + el)
+        hw = _half_weight(p, y)
+        e = _project(p, y, w * hw / ((1.0 - y) ** er * (1.0 + y) ** el), f(y) / hw, n)
+        return wx * float(_damped_sum(e, np.array([r]), x)[0, 0])
     if route != "lebesgue":
         raise DomainError(f"unknown route {route!r}")
     # the end cells carry an unabsorbed integrable singularity; their mass is
-    # ~ min_scale^(1 + e/2) ~ 1e-9 at worst, and nodes stay clear of +-1
-    grid = graded_grid(-1.0, 1.0, min_scale=1e-12)
-    ynodes, yweights = composite_rule(grid, max(12, order // 8))
+    # ~ min_scale^(1 + e/2) ~ 1e-9 at worst. Nodes that round onto +-1 drop.
+    grid = [graded_grid(-1.0, 1.0, min_scale=1e-12)]
+    for lo, hi, lean_left in ((-1.0, x, False), (x, 1.0, True)):
+        if hi > lo:
+            scale = 1e-3 * (1.0 - r) / (hi - lo)
+            grid.append(graded_breakpoints(lo, hi, lean_left=lean_left, min_scale=scale))
+    ynodes, yweights = composite_rule(np.unique(np.concatenate(grid)), max(12, order // 8))
+    inside = np.abs(ynodes) < 1.0
+    ynodes, yweights = ynodes[inside], yweights[inside]
     row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
     return wx * float(np.dot(yweights, row[0] * _half_weight(p, ynodes) * f(ynodes)))
 
@@ -304,10 +327,7 @@ def jacobi_maximal(f, p: JacobiParams, x, r_grid=None, tol: float = 1e-8):
     grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise DomainError("r grid must be nonempty inside (0, 1)")
-    e = _as_expansion(f, p, float(grid.max()), tol)
-    n = np.arange(e.coeffs.size)
-    damped = grid[:, None] ** n[None, :] * e.coeffs[None, :]
-    vals = jacobi_weighted_sum(p, damped, x)
+    vals = _damped_sum(_as_expansion(f, p, float(grid.max()), tol), grid, x)
     best = np.max(np.abs(vals), axis=0)
     return float(best[0]) if np.ndim(x) == 0 else best
 
@@ -349,14 +369,7 @@ def lp_convergence_probe(
     ]
     x = np.concatenate([t for t, _ in rules])
     w = np.concatenate([w for _, w in rules])
-    if isinstance(f, Expansion):
-        fx = jacobi_weighted_sum(p, f.coeffs, x)
-    else:
-        fx = f(x)
-    n = np.arange(e.coeffs.size)
-    damped = rs[:, None] ** n[None, :] * e.coeffs[None, :]
-    vals = jacobi_weighted_sum(p, damped, x)
-    err = np.abs(vals - fx[None, :])
+    err = np.abs(_damped_sum(e, rs, x) - f(x)[None, :])
     if p_exp == math.inf:
         return [float(v) for v in err.max(axis=1)]
     norms = (err**p_exp) @ w

@@ -318,6 +318,8 @@ def appell_f4(
         ratios = (x / y) * (d - m) * (c2 + d - m - 1.0) / ((m + 1.0) * (c1 + m))
         terms = lead * np.concatenate(([1.0], np.cumprod(ratios)))
         s_d = float(np.sum(terms))
+        if not math.isfinite(s_d):
+            raise ConvergenceError("F4 anti-diagonal sum overflowed", x=x, y=y, diagonal=d)
         total += s_d
         if abs(s_d) < tol * abs(total):
             small += 1
@@ -457,10 +459,13 @@ def watson_kernel(
     y: float,
     tol: float = 1e-10,
 ) -> KernelEval:
-    """Best-route dispatch: closed form when safely inside its region, else series."""
+    """Best-route dispatch: closed form inside its region unless F4 overflows, else series."""
     args = BaileyArguments.from_points(ab, x, y)
     if args.margin > _BAILEY_MARGIN:
-        return watson_kernel_bailey(p, ab, x, y, tol=min(tol, 1e-12))
+        try:
+            return watson_kernel_bailey(p, ab, x, y, tol=min(tol, 1e-12))
+        except ConvergenceError:
+            pass
     return watson_kernel_series(p, ab, x, y, tol=tol)
 
 
