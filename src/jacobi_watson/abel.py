@@ -85,15 +85,26 @@ class Expansion:
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Named pointwise function on [-1, 1] with optional smoothness breakpoints.
+    """Named pointwise function on [-1, 1] with optional breakpoints and jumps.
 
     breakpoints lists interior points where the function is not smooth, so
-    quadrature rules can split there.
+    quadrature rules can split there. jumps lists ((t, d), ...): f steps up by
+    d at t, so that f - sum d H(x - t), with H the unit step and H(0) = 1/2,
+    is continuous there. Expansions take each jump's coefficients in closed
+    form and project only that remainder (`_as_expansion`).
     """
 
     tag: str
     fn: object
     breakpoints: tuple = ()
+    jumps: tuple = ()
+
+    def __post_init__(self):
+        for t, d in self.jumps:
+            if not (-1.0 < t < 1.0 and math.isfinite(d)):
+                raise DomainError(
+                    f"jump ({t}, {d}) needs a point inside (-1, 1) and a finite height"
+                )
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -110,7 +121,7 @@ def test_function_family(p: JacobiParams):
 
     return [
         TestFunction("const", lambda x: np.ones_like(x)),
-        TestFunction("sign", np.sign, breakpoints=(0.0,)),
+        TestFunction("sign", np.sign, breakpoints=(0.0,), jumps=((0.0, 2.0),)),
         TestFunction("pk:3", lambda x: jacobi_eval(p, 3, x)),
         TestFunction("fk:3", lambda x: jacobi_eval(p, 3, x) * _half_weight(p, x)),
         TestFunction("bump", lambda x: np.exp(-0.5 * (x / 0.1) ** 2)),
@@ -196,8 +207,12 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     at _MAX_SERIES_TERMS) sizes the rule and bounds the projection, which
     stops early at the first doubling checkpoint k >= _FIRST_CHECKPOINT where
     the coefficients have plateaued (`_plateaued`), after Aurentz & Trefethen,
-    "Chopping a Chebyshev series", ACM TOMS 43 (2017). Inputs that never
-    plateau, such as a jump, run to the bound with the coefficients
+    "Chopping a Chebyshev series", ACM TOMS 43 (2017). The jumps f declares
+    contribute their coefficients up to the bound in closed form
+    (`_jump_coefficients`), and only the remainder f - sum d H(x - t) is
+    projected: for `sign` it is the constant -1, which stops at the first
+    checkpoint. Inputs that still never plateau, such as the kink of
+    `clipped`, run to the bound with the coefficients
     `fourier_jacobi_coefficients` gives. The trailing noise is then trimmed.
     """
     if isinstance(f, Expansion):
@@ -205,7 +220,36 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     n = _default_terms(r_max, tol)
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
     x, w = m.quadrature_rule(_rule_size(n), getattr(f, "breakpoints", ()))
-    return _project(p, x, w, f(x), n)
+    jumps = getattr(f, "jumps", ())
+    steps = sum(d * np.heaviside(x - t, 0.5) for t, d in jumps)
+    e = _project(p, x, w, f(x) - steps, n)
+    if not jumps:
+        return e
+    coeffs = _jump_coefficients(p, jumps, n)
+    coeffs[: e.coeffs.size] += e.coeffs
+    return Expansion(params=p, coeffs=_trim(coeffs))
+
+
+def _jump_coefficients(p: JacobiParams, jumps, n: int) -> np.ndarray:
+    """c(0..n) of sum d H(x - t) over jumps ((t, d), ...), in closed form.
+
+    c(k) = (d/h_k) int_t^1 P_k dJ. DLMF 18.9.16 gives
+    d/dx [(1-x)^(a+1) (1+x)^(b+1) P_(k-1)^(a+1,b+1)(x)] = -2k (1-x)^a (1+x)^b P_k(x),
+    so for k >= 1 the integral is (1-t)^(a+1) (1+t)^(b+1) P_(k-1)^(a+1,b+1)(t) / (2k);
+    k = 0 takes the measure's exact mass of [t, 1]. One recurrence pass at
+    the jump points serves every degree: O(n) work, no quadrature.
+    """
+    a, b = p.alpha, p.beta
+    t = np.array([pt for pt, _ in jumps], dtype=float)
+    d = np.array([ht for _, ht in jumps], dtype=float)
+    m = WeightedMeasure.jacobi(a, b)
+    coeffs = np.empty(n + 1)
+    coeffs[0] = sum(ht * m.interval_mass_exact(pt, 1.0) for pt, ht in jumps)
+    scale = d * (1.0 - t) ** (a + 1.0) * (1.0 + t) ** (b + 1.0)
+    rows = _jacobi_rows(JacobiParams(a + 1.0, b + 1.0), n - 1, t)
+    for k, row in zip(range(1, n + 1), rows):
+        coeffs[k] = np.dot(scale, row) / (2.0 * k)
+    return coeffs / jacobi_norm_sequence(p, n)
 
 
 def _rule_size(n: int) -> int:

@@ -24,8 +24,9 @@ from jacobi_watson import (
     partial_sum,
     weak11_probe,
 )
+from jacobi_watson import abel as abel_module
 from jacobi_watson import test_function_family as function_family
-from jacobi_watson.abel import _as_expansion, _default_terms, _trim
+from jacobi_watson.abel import _as_expansion, _default_terms, _jump_coefficients, _trim
 from jacobi_watson.polynomials import binomial_real
 
 
@@ -37,6 +38,7 @@ def test_family_has_the_six_profiles():
     fam = family(JacobiParams(0.5, 0.3))
     assert sorted(fam) == ["bump", "clipped", "const", "fk:3", "pk:3", "sign"]
     assert fam["sign"].breakpoints == (0.0,)
+    assert fam["sign"].jumps == ((0.0, 2.0),)
 
 
 class TestSingleTermMeans:
@@ -206,19 +208,46 @@ class TestMaximalFunction:
             jacobi_maximal(family(p)["const"], p, 0.0, r_grid=[0.5, 1.0])
 
 
-def _mp_jacobi(a, b, n, x):
-    """P_n(x), n >= 1, by the three-term recurrence in 30-digit arithmetic."""
-    with mpmath.workdps(30):
+def _mp_jacobi_rows(a, b, n_max, x):
+    """P_0(x), ..., P_{n_max}(x) by the three-term recurrence in 40-digit arithmetic."""
+    with mpmath.workdps(40):
         a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
-        prev, cur = mpmath.mpf(1), (a - b) / 2 + (a + b + 2) / 2 * x
-        for k in range(2, n + 1):
+        rows = [mpmath.mpf(1), (a - b) / 2 + (a + b + 2) / 2 * x]
+        for k in range(2, n_max + 1):
             s = 2 * k + a + b
             c0 = 2 * k * (k + a + b) * (s - 2)
             c1 = (s - 1) * (a * a - b * b)
             c2 = (s - 1) * s * (s - 2)
             c3 = 2 * (k + a - 1) * (k + b - 1) * s
-            prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
-        return cur
+            rows.append(((c1 + c2 * x) * rows[-1] - c3 * rows[-2]) / c0)
+        return rows[: n_max + 1]
+
+
+def _mp_jacobi(a, b, n, x):
+    """P_n(x) in 40-digit arithmetic."""
+    return _mp_jacobi_rows(a, b, n, x)[n]
+
+
+def _mp_step_coefficients(a, b, t, n_max, wanted):
+    """c(n) of the unit step H(x - t) for n in wanted (1 <= n <= n_max): the
+    closed form (1-t)^(a+1) (1+t)^(b+1) P_(n-1)^(a+1,b+1)(t) / (2n h_n), in
+    40-digit arithmetic with h_n from the gamma functions."""
+    with mpmath.workdps(40):
+        a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+        rows = _mp_jacobi_rows(a + 1, b + 1, n_max - 1, t)
+        scale = (1 - t) ** (a + 1) * (1 + t) ** (b + 1)
+        out = {}
+        for n in wanted:
+            log_h = (
+                (a + b + 1) * mpmath.log(2)
+                - mpmath.log(2 * n + a + b + 1)
+                + mpmath.loggamma(n + a + 1)
+                + mpmath.loggamma(n + b + 1)
+                - mpmath.loggamma(n + 1)
+                - mpmath.loggamma(n + a + b + 1)
+            )
+            out[n] = float(scale * rows[n - 1] / (2 * n) / mpmath.exp(log_h))
+        return out
 
 
 class TestAdaptiveProjection:
@@ -265,15 +294,85 @@ class TestAdaptiveProjection:
         e = _as_expansion(family(p)[tag], p, self.R_TOP, 1e-8)
         assert e.coeffs.size <= 512
 
+    @pytest.mark.parametrize(
+        "a,b,t,tol",
+        [
+            (0.5, 0.5, 0.0, 1e-13),
+            (-0.5, -0.5, 0.0, 1e-13),
+            (0.5, -0.5, 0.0, 1e-13),
+            (-0.5, 0.5, 0.0, 1e-13),
+            (0.9, -0.9, 0.3, 1e-11),  # measured 1.7e-13
+        ],
+    )
+    def test_jump_coefficients_match_mp_closed_form(self, a, b, t, tol):
+        # errors are relative to the local envelope max |c_j|, |j - n| <= 2,
+        # since at t = 0 and a = b every other coefficient vanishes
+        n_max = 16384
+        tested = [*range(1, 50), *range(998, 1003), *range(16370, n_max + 1)]
+        window = sorted({j for n in tested for j in range(n - 2, n + 3) if 1 <= j <= n_max})
+        want = _mp_step_coefficients(a, b, t, n_max, window)
+        got = _jump_coefficients(JacobiParams(a, b), ((t, 1.0),), n_max)
+        for n in tested:
+            env = max(abs(want[j]) for j in range(n - 2, n + 3) if j in want)
+            assert abs(got[n] - want[n]) <= tol * env, (n, got[n], want[n])
+
     @PARAMS
-    def test_jump_runs_to_the_bound_bitwise(self, a, b):
-        # sign never plateaus, so the adaptive projection is the fixed one
+    def test_jump_matches_quadrature_route(self, a, b):
+        # fourier_jacobi_coefficients projects sign itself on a split rule
+        # and shares no closed form with the expansion
         p = JacobiParams(a, b)
         f = family(p)["sign"]
         n = _default_terms(0.99, 1e-8)
         e = _as_expansion(f, p, 0.99, 1e-8)
         ref = _trim(fourier_jacobi_coefficients(f, p, n, 2 * (n + 1)).coeffs)
-        assert e.coeffs.tobytes() == ref.tobytes()
+        assert e.coeffs.size == ref.size
+        assert np.max(np.abs(e.coeffs - ref)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "a,bound",
+        # at (-1/2, -1/2) the projected remainder -1 keeps a rounding
+        # coefficient of 3.6e-14 at n = 128, below the plateau tolerance
+        [(0.5, 0.0), (0.0, 0.0), (-0.5, 1e-13)],
+    )
+    def test_sign_even_coefficients_vanish(self, a, bound):
+        # sign is odd and so is P_n for odd n when a = b; the closed form
+        # reads P_(n-1)^(a+1,a+1)(0), an exact zero for even n
+        p = JacobiParams(a, a)
+        assert not np.any(_jump_coefficients(p, ((0.0, 2.0),), 16384)[2::2])
+        e = _as_expansion(family(p)["sign"], p, self.R_TOP, 1e-8)
+        assert np.max(np.abs(e.coeffs[2::2])) <= bound
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (-0.5, -0.5), (0.0, 0.0)])
+    def test_jump_projects_only_the_remainder(self, a, b, monkeypatch):
+        # sign's remainder is the constant -1, which stops at the first
+        # checkpoint (129 rows); a fallback to projecting sign itself would
+        # read all 16385 rows of the degree bound
+        rows = []
+        inner = abel_module._coefficients
+
+        def counting(*args):
+            for c in inner(*args):
+                rows.append(c)
+                yield c
+
+        monkeypatch.setattr(abel_module, "_coefficients", counting)
+        p = JacobiParams(a, b)
+        e = _as_expansion(family(p)["sign"], p, self.R_TOP, 1e-8)
+        assert len(rows) <= 257
+        assert e.degree >= 16380
+
+
+def test_jumps_are_validated():
+    with pytest.raises(DomainError):
+        abel_module.TestFunction("edge", np.sign, jumps=((1.0, 2.0),))
+    with pytest.raises(DomainError):
+        abel_module.TestFunction("outside", np.sign, jumps=((-1.5, 2.0),))
+    with pytest.raises(DomainError):
+        abel_module.TestFunction("nan point", np.sign, jumps=((math.nan, 2.0),))
+    with pytest.raises(DomainError):
+        abel_module.TestFunction("inf height", np.sign, jumps=((0.0, math.inf),))
+    with pytest.raises(DomainError):
+        abel_module.TestFunction("nan height", np.sign, jumps=((0.0, math.nan),))
 
 
 def test_weak11_probe_is_finite_and_order_one():
