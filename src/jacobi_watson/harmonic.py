@@ -70,20 +70,47 @@ def _cell_data(m: WeightedMeasure, f, grid: np.ndarray, n_quad: int):
     return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), n_quad)
 
 
+# right endpoints per block of _maximal_profile: large enough that numpy's
+# per-call cost stays small, small enough that a block stays in cache
+_PROFILE_BLOCK = 64
+
+
 def _maximal_profile(masses: np.ndarray, integrals: np.ndarray) -> np.ndarray:
-    """profile[c] = max over grid intervals containing cell c of the average
-    integrals/masses. Suffix-max over right endpoints then prefix-max over
-    left endpoints turns the O(n^2) pair search into two accumulations."""
+    """profile[c] = max over grid intervals [g_i, g_j], i <= c < j, of the
+    average integrals/masses; intervals of zero mass do not count.
+
+    Right endpoints are taken in blocks from the top, with best[i] the max
+    over the right endpoints already passed. Each block reduces its rows
+    below the block to one, and the suffix-max over right endpoints and
+    prefix-max over left endpoints run on the small corner table that is
+    left. Memory is O(n) and time O(n^2); the max of the same averages is
+    bitwise the one over the full pair table.
+    """
     cm = np.concatenate([[0.0], np.cumsum(masses)])
     ci = np.concatenate([[0.0], np.cumsum(integrals)])
-    dm = cm[None, :] - cm[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = (ci[None, :] - ci[:, None]) / dm
-    avg[~(dm > 0.0)] = -np.inf
-    # S[i, j] = best average over [g_i, g_j'] with j' >= j
-    s = np.flip(np.maximum.accumulate(np.flip(avg, axis=1), axis=1), axis=1)
-    p = np.maximum.accumulate(s, axis=0)
-    return np.diagonal(p, offset=1).copy()
+    n = cm.size - 1
+    best = np.full(n, -np.inf)
+    profile = np.empty(n)
+    for hi in range(n, 0, -_PROFILE_BLOCK):
+        lo = max(hi - _PROFILE_BLOCK, 0)
+        k = hi - lo
+        # averages over [g_i, g_j] for i < hi and lo < j <= hi
+        dm = cm[lo + 1 : hi + 1] - cm[:hi, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            avg = (ci[lo + 1 : hi + 1] - ci[:hi, None]) / dm
+        avg[~(dm > 0.0)] = -np.inf
+        # corner: row 0 stands for every i < lo and column k for every j > hi
+        corner = np.full((k + 1, k + 1), -np.inf)
+        if lo:
+            below = avg[:lo]
+            corner[0, :k] = below.max(axis=0)
+            corner[0, k] = best[:lo].max()
+            np.maximum(best[:lo], below.max(axis=1), out=best[:lo])
+        corner[1:, :k] = avg[lo:]
+        corner[1:, k] = best[lo:hi]
+        s = np.maximum.accumulate(corner[:, ::-1], axis=1)[:, ::-1]
+        profile[lo:hi] = np.diagonal(np.maximum.accumulate(s, axis=0)[1:])
+    return profile
 
 
 def _locate(grid: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _TINY_REL = 1e-6
+# nodes of the local rule behind tiny-cell masses and the CDF table
+_MASS_NODES = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +145,7 @@ class WeightedMeasure:
         return self._generic_cdf(x)
 
     def _quad_interval_mass(self, l: float, r: float) -> float:
-        nodes, weights = self.cell_rule(l, r, 24)
+        nodes, weights = self.cell_rule(l, r, _MASS_NODES)
         return float(np.sum(weights))
 
     def interval_mass_exact(self, l: float, r: float) -> float:
@@ -195,10 +197,9 @@ class WeightedMeasure:
             ]
         )
         bp = np.sort(np.unique(np.concatenate([bp, np.asarray(anchors)])))
-        masses = [0.0]
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            masses.append(masses[-1] + self._quad_interval_mass(lo, hi))
-        table = (bp, np.asarray(masses))
+        # the 0.0 leads the running sum, as in a left-to-right scalar loop
+        cum = np.cumsum(np.concatenate([[0.0], self._rule_masses(bp[:-1], bp[1:])]))
+        table = (bp, cum)
         object.__setattr__(self, "_cum_cache", table)
         return table
 
@@ -213,6 +214,18 @@ class WeightedMeasure:
         i = min(max(i, 0), bp.size - 2)
         partial = self._quad_interval_mass(bp[i], x) if x > bp[i] else 0.0
         return float(cum[i] + partial)
+
+    def _generic_cdfs(self, x: np.ndarray) -> np.ndarray:
+        """`_generic_cdf` at each point of x, with the partial cells batched."""
+        a, b = self.support
+        bp, cum = self._cumulative_table()
+        i = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, bp.size - 2)
+        out = cum[i]
+        part = (x > a) & (x < b) & (x > bp[i])
+        out[part] += self._rule_masses(bp[i[part]], x[part])
+        out[x >= b] = cum[-1]
+        out[x <= a] = 0.0
+        return out
 
     # ---- quadrature against the measure ---------------------------------
 
@@ -245,15 +258,102 @@ class WeightedMeasure:
             w = w * np.abs(t - c) ** e
         return t, w
 
+    def _cell_rule_rows(self, lefts, rights, n: int):
+        """`cell_rule` on each cell [lefts[k], rights[k]], as (cells, n) arrays.
+
+        Cells with no nonzero-exponent anchor at either end share one broadcast
+        of the Legendre rule, with the same operations in the same order as
+        `cell_rule`, so every row is bitwise the scalar one. Cells with a
+        singular end keep `cell_rule`'s Gauss-Jacobi path, row by row.
+        """
+        l = np.asarray(lefts, dtype=float)
+        r = np.asarray(rights, dtype=float)
+        factors = self._factors()
+        bad = ~(r > l)
+        anchored = np.zeros(l.shape, dtype=bool)
+        for c, e in factors:
+            bad |= (l < c) & (c < r)
+            if e != 0.0:
+                anchored |= (l == c) | (r == c)
+        if np.any(bad):
+            # the first bad cell raises what the row-by-row loop would raise
+            k = int(np.argmax(bad))
+            self.cell_rule(lefts[k], rights[k], n)
+        t = np.empty((l.size, n))
+        w = np.empty((l.size, n))
+        free = ~anchored
+        if np.any(free):
+            xi, wi = gauss_legendre(n)
+            half = 0.5 * (r[free] - l[free])[:, None]
+            mid = 0.5 * (r[free] + l[free])[:, None]
+            tf = mid + half * xi
+            wf = half * wi
+            # a factor anchored at an end of a free cell has exponent 0 and
+            # multiplies by exactly 1
+            for c, e in factors:
+                wf = wf * np.abs(tf - c) ** e
+            t[free] = tf
+            w[free] = wf
+        for k in np.flatnonzero(anchored):
+            t[k], w[k] = self.cell_rule(lefts[k], rights[k], n)
+        return t, w
+
+    def _rule_masses(self, lefts, rights) -> np.ndarray:
+        """`_quad_interval_mass` of each cell [lefts[k], rights[k]]."""
+        return self._cell_rule_rows(lefts, rights, _MASS_NODES)[1].sum(axis=1)
+
     def cell_rules(self, edges, n: int):
         """`cell_rule` on each cell between consecutive edges, concatenated:
-        n nodes per cell, so reshape(-1, n) gives one row per cell."""
-        rules = [self.cell_rule(l, r, n) for l, r in zip(edges[:-1], edges[1:])]
-        return np.concatenate([t for t, _ in rules]), np.concatenate([w for _, w in rules])
+        n nodes per cell, so reshape(-1, n) gives one row per cell.
+
+        Batched over the cells and bitwise equal to the loop over `cell_rule`,
+        including its errors: DegenerateInputError for a cell with r <= l,
+        DomainError for an anchor strictly inside a cell.
+        """
+        t, w = self._cell_rule_rows(edges[:-1], edges[1:], n)
+        return t.ravel(), w.ravel()
 
     def cell_masses(self, edges) -> np.ndarray:
-        """`interval_mass_exact` of each cell between consecutive edges."""
-        return np.array([self.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])])
+        """`interval_mass_exact` of each cell between consecutive edges.
+
+        Batched over the cells and bitwise equal to the scalar loop: jacobi
+        masses take `special.betainc` on arrays with the complementary-tail
+        branch as a mask, product masses look the CDF table up in one
+        `searchsorted`, and tiny cells and partial table cells sum batched
+        24-node rules. Power masses stay a loop over the scalar, whose libm
+        `**`, `log` and `expm1` numpy's vector versions do not match to the ulp.
+        """
+        if self.family == "power":
+            return np.array([self.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])])
+        l = np.asarray(edges[:-1], dtype=float)
+        r = np.asarray(edges[1:], dtype=float)
+        out = np.zeros(l.size)
+        live = ~(r <= l)
+        if self.family == "lebesgue":
+            out[live] = (r - l)[live]
+            return out
+        a, b = self.support
+        tiny = live & (r - l < _TINY_REL * (b - a))
+        out[tiny] = self._rule_masses(l[tiny], r[tiny])
+        wide = live & ~tiny
+        if self.family == "product":
+            out[wide] = self._generic_cdfs(r[wide]) - self._generic_cdfs(l[wide])
+            return out
+        alpha, beta = self.params
+        scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
+        vl, vr = 0.5 * (1.0 + l), 0.5 * (1.0 + r)
+        # both ends near +1: difference of complementary tails
+        right = wide & (vl + vr > 1.0)
+        left = wide & ~(vl + vr > 1.0)
+        out[right] = scale * (
+            special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vl[right])
+            - special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vr[right])
+        )
+        out[left] = scale * (
+            special.betainc(beta + 1.0, alpha + 1.0, vr[left])
+            - special.betainc(beta + 1.0, alpha + 1.0, vl[left])
+        )
+        return out
 
     def quadrature_rule(self, n: int, breakpoints=()):
         """Rule for the whole support, split at the breakpoints inside it.

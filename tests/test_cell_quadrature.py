@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from jacobi_watson.errors import DegenerateInputError, DomainError
 from jacobi_watson.measure import WeightedMeasure
-from jacobi_watson.quadrature import graded_breakpoints, graded_grid, piece_edges
+from jacobi_watson.quadrature import gauss_legendre, graded_breakpoints, graded_grid, piece_edges
 
 MEASURES = {
     "jacobi": WeightedMeasure.jacobi(-0.9, 0.3),
@@ -17,6 +18,7 @@ MEASURES = {
     "power-left": WeightedMeasure.power(1.5, (-1.0, 0.0)),
     "product": WeightedMeasure.product(((0.0, -0.4), (1.0, 0.7)), (0.0, 1.0)),
     "product-interior": WeightedMeasure.product(((0.0, -0.5), (0.5, 1.2), (1.0, 0.3)), (0.0, 1.0)),
+    "lebesgue": WeightedMeasure.lebesgue(-1.0, 2.0),
 }
 
 
@@ -89,6 +91,68 @@ def test_cell_rules_are_cell_rule_rows(name):
         tc, wc = m.cell_rule(lo, hi, 6)
         assert np.array_equal(t.reshape(-1, 6)[row], tc)
         assert np.array_equal(w.reshape(-1, 6)[row], wc)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_cell_masses_are_interval_mass_exact_bitwise(name):
+    m = MEASURES[name]
+    a, b = m.support
+    w = b - a
+    # graded grids reach cells below the tiny-cell cut; the interior grid puts
+    # both edges of the product measures' CDF lookups inside table cells
+    edges = np.unique(np.concatenate([
+        graded_grid(a, b, min_scale=1e-12, n_uniform=32),
+        graded_grid(a + 0.1 * w, b - 0.3 * w, min_scale=1e-9, n_uniform=17),
+        [a + 0.375 * w, a + 0.625 * w, 0.5],
+    ]))
+    edges = edges[(edges >= a) & (edges <= b)]
+    # a zero-width cell, and a reversed one, both of mass 0.0
+    k = edges.size // 3
+    edges = np.concatenate([edges[:k], [edges[k]], edges[k:], [edges[-2]]])
+    want = np.array([m.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])])
+    got = m.cell_masses(edges)
+    # bytes, so that a -0.0 for 0.0 counts as a difference
+    assert got.tobytes() == want.tobytes()
+    assert got[k] == 0.0 and got[-1] == 0.0
+    assert m.cell_masses(edges.tolist()).tobytes() == want.tobytes()
+    assert np.any(np.diff(edges) < 1e-6 * w)
+    if m.family == "jacobi":
+        # cells on both sides of the complementary-tail branch vl + vr > 1,
+        # and one on its edge vl + vr == 1
+        assert np.any(edges[:-1] + edges[1:] > 0.0) and np.any(edges[:-1] + edges[1:] < 0.0)
+        assert m.cell_masses([-0.375, 0.375])[0] == m.interval_mass_exact(-0.375, 0.375)
+
+
+def test_all_anchored_split_builds_no_legendre_rule():
+    # both halves of [-1, 1] split at 0 end on a singular Jacobi anchor, so the
+    # batched rules take Gauss-Jacobi rows only and never ask for Legendre's
+    m = WeightedMeasure.jacobi(0.5, 0.5)
+    before = gauss_legendre.cache_info()
+    x, w = m.quadrature_rule(4097, (0.0,))
+    after = gauss_legendre.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    rows = [m.cell_rule(-1.0, 0.0, 2048), m.cell_rule(0.0, 1.0, 2048)]
+    assert np.array_equal(x, np.concatenate([t for t, _ in rows]))
+    assert np.array_equal(w, np.concatenate([wc for _, wc in rows]))
+
+
+@pytest.mark.parametrize(
+    "edges, error, match",
+    [
+        (list(np.linspace(0.0, 0.25, 9)) + [0.2, 0.3], DegenerateInputError, r"\[0\.25, 0\.2\]"),
+        (list(np.linspace(0.0, 0.25, 9)) + [0.25, 0.3], DegenerateInputError, r"\[0\.25, 0\.25\]"),
+        (list(np.linspace(0.0, 0.5, 9)) + [0.5, 0.7], DegenerateInputError, r"\[0\.5, 0\.5\]"),
+        (list(np.linspace(0.0, 0.25, 9)) + [0.75, 0.75], DomainError, r"anchor 0\.5 .*\[0\.25, 0\.75\]"),
+        (np.linspace(0.0, 1.0, 8), DomainError, "anchor 0.5"),
+    ],
+)
+def test_cell_rules_raise_what_the_cell_rule_loop_raises(edges, error, match):
+    m = MEASURES["product-interior"]
+    with pytest.raises(error, match=match):
+        m.cell_rules(edges, 8)
+    with pytest.raises(error, match=match):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            m.cell_rule(lo, hi, 8)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])

@@ -23,6 +23,7 @@ from jacobi_watson import (
     zygmund_constants,
 )
 from jacobi_watson.errors import DegenerateInputError
+from jacobi_watson.harmonic import _maximal_profile
 from jacobi_watson.kernels import watson_series_matrix
 
 
@@ -285,3 +286,28 @@ class TestWeights:
         m = unit_interval()
         with pytest.raises(DegenerateInputError):
             weighted_interval_average(m, PowerWeight(), (0.3, 0.3))
+
+
+@pytest.mark.parametrize("dips", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 130, 199])
+def test_maximal_profile_is_the_max_over_every_window(n, dips):
+    rng = np.random.default_rng(n)
+    masses = rng.random(n)
+    masses[rng.random(n) < 0.2] = 0.0
+    masses[0] = masses[-1] = 0.0
+    masses[n // 2] = 1.0
+    ratio = rng.random(n) * 3.0
+    if dips:
+        # a near-flat f with a few zeros: the best interval around a zero is
+        # as long as it can be, reaching far to both sides
+        ratio = 1.0 + 0.01 * ratio
+        ratio[rng.choice(n, size=1 + n // 16)] = 0.0
+    integrals = masses * ratio
+    cm = np.concatenate([[0.0], np.cumsum(masses)])
+    ci = np.concatenate([[0.0], np.cumsum(integrals)])
+    dm = cm[None, :] - cm[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        avg = np.where(dm > 0.0, (ci[None, :] - ci[:, None]) / dm, -np.inf)
+    # cell c lies in [g_i, g_j] for every pair i <= c < j
+    want = np.array([avg[: c + 1, c + 1 :].max() for c in range(n)])
+    assert np.array_equal(_maximal_profile(masses, integrals), want)
