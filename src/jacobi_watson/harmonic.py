@@ -568,19 +568,33 @@ def weighted_interval_average(m: WeightedMeasure, w: PowerWeight, interval) -> f
     return interval_mass(mw, (l, r)) / base
 
 
+# pair-table entries per row slice of _window_sup (256 KiB of floats)
+_WINDOW_FLOATS = 2**15
+
+
 def _window_sup(base, top, dual, p_exp: float) -> float:
     """sup over grid windows of (top/base) (dual/base)^(p-1), from per-cell
-    masses; windows of zero base mass are skipped."""
+    masses; windows of zero base mass are skipped.
+
+    Left endpoints are taken in slices of at most 2^15 / (n+1) rows with a
+    running max, so memory is O(n) while each entry is the same elementwise
+    expression as on the full pair table, and the max is bitwise its max.
+    """
     cb = np.concatenate([[0.0], np.cumsum(base)])
     ct = np.concatenate([[0.0], np.cumsum(top)])
     cd = np.concatenate([[0.0], np.cumsum(dual)])
-    db = cb[None, :] - cb[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        prod = ((ct[None, :] - ct[:, None]) / db) * (
-            ((cd[None, :] - cd[:, None]) / db) ** (p_exp - 1.0)
-        )
-    prod[~(db > 0.0)] = -np.inf
-    return float(np.max(prod))
+    step = max(1, _WINDOW_FLOATS // cb.size)
+    best = -np.inf
+    for lo in range(0, cb.size, step):
+        rows = slice(lo, lo + step)
+        db = cb[None, :] - cb[rows, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            prod = ((ct[None, :] - ct[rows, None]) / db) * (
+                ((cd[None, :] - cd[rows, None]) / db) ** (p_exp - 1.0)
+            )
+        prod[~(db > 0.0)] = -np.inf
+        best = np.maximum(best, np.max(prod))
+    return float(best)
 
 
 def ap_constant(

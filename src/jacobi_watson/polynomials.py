@@ -4,7 +4,9 @@ The polynomials P_n are normalized so that P_n(1) = C(n+alpha, n). Everything
 downstream (kernels, expansions, maximal functions) is built on the evaluation
 table produced here and on the quadrature rules. The three-term recurrence
 lives only in `_jacobi_rows` and the norm ratio h_{n+1}/h_n only in
-`_norm_ratio`; every other module calls them.
+`_norm_ratio`; every other module calls them. `_jacobi_blocks` is a view over
+the one recurrence that stacks its rows into blocks of degrees, so weighted
+sums run as one matrix product per block instead of one axpy per degree.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
     Each step writes into one of three rotating buffers, so a yielded row is
     valid only until the next-but-one step overwrites it: consume or copy it
     before then. The steps keep the order ((c1 + c2*x)*cur - c3*prev)/c0, so
-    the rows are bitwise those of the allocating form.
+    the rows are bitwise those of the allocating form. The coefficients
+    c0..c3 of every step come from one array expression each, the scalar
+    expressions in their order, so they are bitwise the per-step floats.
     """
     a, b = p.alpha, p.beta
     prev = np.ones_like(x)
@@ -88,11 +92,14 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
     cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     yield cur
     nxt = np.empty_like(cur)
-    for n in range(2, n_max + 1):
-        c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-        c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+    n = np.arange(2, n_max + 1, dtype=float)
+    steps = zip(
+        2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0),
+        (2.0 * n + a + b - 1.0) * (a * a - b * b),
+        (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0),
+        2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b),
+    )
+    for c0, c1, c2, c3 in steps:
         np.multiply(x, c2, out=nxt)
         np.add(nxt, c1, out=nxt)
         np.multiply(nxt, cur, out=nxt)
@@ -101,6 +108,33 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
         np.divide(nxt, c0, out=nxt)
         prev, cur, nxt = cur, nxt, prev
         yield cur
+
+
+# a block of `_jacobi_blocks` holds at most this many rows and this many floats
+# (1 MiB): enough degrees per block for a matrix product to pay, while the
+# buffer stays small next to a 32k-node row
+_BLOCK_ROWS = 64
+_BLOCK_FLOATS = 2**17
+
+
+def _jacobi_blocks(p: JacobiParams, n_max: int, x: np.ndarray):
+    """Yield (s, block) with block[i] = P_(s+i)(x), covering n = 0..n_max.
+
+    The rows of `_jacobi_rows`, stacked B = max(1, min(64, 2^17 // x.size)) at
+    a time into one reused buffer; the last block may be shorter. A yielded
+    block is valid only until the next one is produced.
+    """
+    size = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // max(x.size, 1)))
+    buf = np.empty((size, x.size))
+    k = 0
+    for n, row in enumerate(_jacobi_rows(p, n_max, x)):
+        buf[k] = row
+        k += 1
+        if k == size:
+            yield n + 1 - size, buf
+            k = 0
+    if k:
+        yield n_max + 1 - k, buf[:k]
 
 
 def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
@@ -131,10 +165,11 @@ def jacobi_eval(p: JacobiParams, n: int, x):
 def jacobi_weighted_sum(p: JacobiParams, weights, x) -> np.ndarray:
     """Streaming evaluation of sum_n weights[n] P_n(x).
 
-    Runs the three-term recurrence with two rolling rows, so memory stays
-    O(len(x)) no matter how long the coefficient vector is. weights may be a
-    1-d array or a (m, n_terms) matrix; the matrix form accumulates one sum
-    per row (shape (m, len(x))), sharing a single recurrence pass.
+    Runs the three-term recurrence in blocks of degrees (`_jacobi_blocks`)
+    and adds one matrix product per block, so memory stays O(len(x)) no
+    matter how long the coefficient vector is. weights may be a 1-d array or a
+    (m, n_terms) matrix; the matrix form accumulates one sum per row (shape
+    (m, len(x))), sharing a single recurrence pass.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -144,10 +179,9 @@ def jacobi_weighted_sum(p: JacobiParams, weights, x) -> np.ndarray:
     n_terms = w.shape[1]
     if n_terms == 0:
         raise DomainError("empty coefficient vector")
-    rows = _jacobi_rows(p, n_terms - 1, x)
-    acc = w[:, 0][:, None] * next(rows)
-    for n, cur in enumerate(rows, start=1):
-        acc += w[:, n][:, None] * cur
+    acc = np.zeros((w.shape[0], x.size))
+    for s, block in _jacobi_blocks(p, n_terms - 1, x):
+        acc += w[:, s : s + block.shape[0]] @ block
     return acc if matrix else acc[0]
 
 
@@ -180,20 +214,25 @@ def jacobi_norm(p: JacobiParams, n: int) -> float:
 
 
 def jacobi_norm_sequence(p: JacobiParams, n_max: int) -> np.ndarray:
-    """h_n for n = 0..n_max, computed by the stable ratio recurrence."""
+    """h_n for n = 0..n_max, computed by the stable ratio recurrence.
+
+    One running product h_(n+1) = h_n * ratio(n): np.cumprod multiplies in
+    that order, so the values are bitwise those of the scalar loop.
+    """
     h = np.empty(n_max + 1, dtype=float)
     h[0] = jacobi_norm(p, 0)
     if n_max >= 1:
         # the 0 -> 1 ratio degenerates when a+b+1 = 0, so start the
         # recurrence from the directly computed h_1
         h[1] = jacobi_norm(p, 1)
-    for n in range(1, n_max):
-        h[n + 1] = h[n] * _norm_ratio(p, n)
+        h[2:] = _norm_ratio(p, np.arange(1, n_max, dtype=float))
+        np.cumprod(h[1:], out=h[1:])
     return h
 
 
-def _norm_ratio(p: JacobiParams, n: int) -> float:
-    """h_{n+1} / h_n for n >= 1 (at n = 0 it degenerates when a+b+1 = 0)."""
+def _norm_ratio(p: JacobiParams, n):
+    """h_{n+1} / h_n for n >= 1 (at n = 0 it degenerates when a+b+1 = 0);
+    n may be a scalar or an array of degrees."""
     a, b = p.alpha, p.beta
     s = 2.0 * n + a + b
     return (s + 1.0) / (s + 3.0) * ((n + a + 1.0) * (n + b + 1.0)) / (

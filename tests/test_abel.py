@@ -11,6 +11,7 @@ from jacobi_watson import (
     DomainError,
     Expansion,
     JacobiParams,
+    WeightedMeasure,
     abel_mean,
     default_r_grid,
     fourier_jacobi_coefficients,
@@ -18,6 +19,7 @@ from jacobi_watson import (
     jacobi_function_eval,
     jacobi_maximal,
     jacobi_norm,
+    jacobi_norm_sequence,
     lp_convergence_probe,
     lp_norm,
     modified_abel_mean,
@@ -27,7 +29,7 @@ from jacobi_watson import (
 from jacobi_watson import abel as abel_module
 from jacobi_watson import test_function_family as function_family
 from jacobi_watson.abel import _as_expansion, _default_terms, _jump_coefficients, _trim
-from jacobi_watson.polynomials import binomial_real
+from jacobi_watson.polynomials import _jacobi_rows, binomial_real
 
 
 def family(p):
@@ -315,6 +317,20 @@ class TestAdaptiveProjection:
         for n in tested:
             env = max(abs(want[j]) for j in range(n - 2, n + 3) if j in want)
             assert abs(got[n] - want[n]) <= tol * env, (n, got[n], want[n])
+
+    @pytest.mark.parametrize("a,b,t", [(0.5, 0.5, 0.0), (-0.5, -0.5, 0.0), (0.9, -0.9, 0.3)])
+    def test_jump_coefficients_are_the_per_row_dot_form(self, a, b, t):
+        # one jump: the blocked row sums keep every bit of one np.dot per
+        # degree, the signed zeros at t = 0 included
+        p, n = JacobiParams(a, b), 5000
+        scale = np.array([2.0 * (1.0 - t) ** (a + 1.0) * (1.0 + t) ** (b + 1.0)])
+        want = np.empty(n + 1)
+        want[0] = 2.0 * WeightedMeasure.jacobi(a, b).interval_mass_exact(t, 1.0)
+        rows = _jacobi_rows(JacobiParams(a + 1.0, b + 1.0), n - 1, np.array([t]))
+        for k, row in zip(range(1, n + 1), rows):
+            want[k] = np.dot(scale, row) / (2.0 * k)
+        want /= jacobi_norm_sequence(p, n)
+        assert _jump_coefficients(p, ((t, 2.0),), n).tobytes() == want.tobytes()
 
     @PARAMS
     def test_jump_matches_quadrature_route(self, a, b):

@@ -66,9 +66,26 @@ def test_close_is_relative():
     assert _close("nan", "nan") and not _close("inf", 1e308)
 
 
+def _moved(case: str, doc: dict) -> list:
+    """(case, name, old, new) for each record whose value differs from the
+    committed golden, in record order; [] when there is no golden yet."""
+    path = GOLDEN / f"{case}.json"
+    if not path.exists():
+        return []
+    old = json.loads(path.read_text())["report"]["records"]
+    new = doc["report"]["records"]
+    return [
+        (case, n["name"], o["value"], n["value"])
+        for o, n in zip(old, new)
+        if o["value"] != n["value"]
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
         doc = _run(argv)
+        for moved in _moved(case, doc):
+            print("moved", *moved)
         (GOLDEN / f"{case}.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(case, "exit", doc["exit"])

@@ -23,7 +23,7 @@ from jacobi_watson import (
     zygmund_constants,
 )
 from jacobi_watson.errors import DegenerateInputError
-from jacobi_watson.harmonic import _maximal_profile
+from jacobi_watson.harmonic import _maximal_profile, _window_sup
 from jacobi_watson.kernels import watson_series_matrix
 
 
@@ -311,3 +311,31 @@ def test_maximal_profile_is_the_max_over_every_window(n, dips):
     # cell c lies in [g_i, g_j] for every pair i <= c < j
     want = np.array([avg[: c + 1, c + 1 :].max() for c in range(n)])
     assert np.array_equal(_maximal_profile(masses, integrals), want)
+
+
+@pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.7])
+@pytest.mark.parametrize("n", [1, 31, 32, 512, 1100])
+def test_window_sup_is_the_full_pair_table_max(n, p_exp):
+    # the row slices of _window_sup against the one-table formula, bit for bit;
+    # n = 1100 takes 29 rows per slice, with a short last slice
+    rng = np.random.default_rng(n)
+    base = rng.random(n)
+    base[rng.random(n) < 0.2] = 0.0
+    base[0] = 0.0
+    top = base * rng.random(n) * 5.0
+    dual = base * rng.random(n)
+    cb, ct, cd = (np.concatenate([[0.0], np.cumsum(v)]) for v in (base, top, dual))
+    db = cb[None, :] - cb[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prod = ((ct[None, :] - ct[:, None]) / db) * (
+            ((cd[None, :] - cd[:, None]) / db) ** (p_exp - 1.0)
+        )
+    prod[~(db > 0.0)] = -np.inf
+    want = float(np.max(prod))
+    got = _window_sup(base, top, dual, p_exp)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_window_sup_of_zero_masses_is_minus_inf():
+    zero = np.zeros(40)
+    assert _window_sup(zero, zero, zero, 2.0) == -math.inf

@@ -1,6 +1,7 @@
 """Polynomial recurrence, normalization, norms, and the Gauss rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from jacobi_watson import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
+from jacobi_watson.polynomials import _jacobi_blocks, _jacobi_rows, _norm_ratio
 from jacobi_watson.quadrature import interval_rule
 from jacobi_watson.errors import SingularEvaluationError
 
@@ -125,6 +127,71 @@ def test_weighted_sum_accepts_matrix_of_coefficient_rows():
     out = jacobi_weighted_sum(p, c, x)
     np.testing.assert_allclose(out[0], np.ones(2))
     np.testing.assert_allclose(out[1], jacobi_eval(p, 2, x), rtol=1e-13)
+
+
+@pytest.mark.parametrize("size", [1, 25, 2048, 32770])
+def test_blocks_are_the_table_rows(size):
+    # 32770 points take 3 rows per block under the 1 MiB cap, the others 64
+    p = JacobiParams(0.5, -0.3)
+    x = np.cos(np.linspace(0.0, math.pi, size))
+    for n_max in (0, 1, 62, 63, 64, 65, 200):
+        table = jacobi_eval_table(p, n_max, x)
+        seen = 0
+        for s, block in _jacobi_blocks(p, n_max, x):
+            assert s == seen and block.nbytes <= 2**20
+            assert block.tobytes() == table[s : s + block.shape[0]].tobytes()
+            seen += block.shape[0]
+        assert seen == n_max + 1
+
+
+@pytest.mark.parametrize("a,b", BOXES + [(0.9, -0.9), (-0.5, 0.5)])
+def test_norm_sequence_is_the_scalar_ratio_loop(a, b):
+    p = JacobiParams(a, b)
+    want = [jacobi_norm(p, 0), jacobi_norm(p, 1)]
+    for n in range(1, 20000):
+        want.append(want[-1] * _norm_ratio(p, n))
+    assert jacobi_norm_sequence(p, 20000).tobytes() == np.array(want).tobytes()
+    assert jacobi_norm_sequence(p, 1).tobytes() == np.array(want[:2]).tobytes()
+    assert jacobi_norm_sequence(p, 0).tobytes() == np.array(want[:1]).tobytes()
+
+
+def test_blocked_weighted_sum_is_the_sequential_sum():
+    # an Abel-mean shape: 12 radii up to 1 - 2^-12 damping 16385 slowly
+    # decaying coefficients; summation order alone may move the sums. The
+    # reference adds the terms one degree at a time with Neumaier's
+    # compensation: a plain running sum is itself off by 1.0e-14 of the
+    # envelope here, the blocked sum by 1.4e-15
+    p = JacobiParams(0.5, 0.5)
+    n = np.arange(16385)
+    rs = 1.0 - 2.0 ** -np.arange(1.0, 13.0)
+    c = np.random.default_rng(5).standard_normal(n.size) / (n + 1.0) ** 0.75
+    w = rs[:, None] ** n * c
+    x = np.cos(np.linspace(0.0, math.pi, 257))
+    acc, comp, env = (np.zeros((rs.size, x.size)) for _ in range(3))
+    for k, row in enumerate(_jacobi_rows(p, n.size - 1, x)):
+        term = w[:, k, None] * row
+        total = acc + term
+        comp += np.where(np.abs(acc) >= np.abs(term), (acc - total) + term, (term - total) + acc)
+        acc = total
+        env += np.abs(term)
+    assert np.max(np.abs(jacobi_weighted_sum(p, w, x) - (acc + comp)) / env) <= 1e-14
+
+
+def test_weighted_sum_memory_is_capped_on_large_rules():
+    # a 64-row block on a 32770-node rule would take 16.8 MB; the cap keeps
+    # the buffer, the recurrence rows and one product under 2 MiB
+    p = JacobiParams(0.5, 0.5)
+    x = np.cos(np.linspace(0.0, math.pi, 32770))
+    c = 1.0 / np.arange(1.0, 130.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = jacobi_weighted_sum(p, c, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * 2**20
 
 
 class TestJacobiFunctions:
