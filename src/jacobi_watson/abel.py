@@ -18,9 +18,9 @@ from .measure import WeightedMeasure
 from .polynomials import (
     JacobiParams,
     _half_weight,
-    _jacobi_blocks,
     _jacobi_rows,
     jacobi_eval,
+    jacobi_eval_table,
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
@@ -237,8 +237,9 @@ def _jump_coefficients(p: JacobiParams, jumps, n: int) -> np.ndarray:
     c(k) = (d/h_k) int_t^1 P_k dJ. DLMF 18.9.16 gives
     d/dx [(1-x)^(a+1) (1+x)^(b+1) P_(k-1)^(a+1,b+1)(x)] = -2k (1-x)^a (1+x)^b P_k(x),
     so for k >= 1 the integral is (1-t)^(a+1) (1+t)^(b+1) P_(k-1)^(a+1,b+1)(t) / (2k);
-    k = 0 takes the measure's exact mass of [t, 1]. One blocked recurrence
-    pass at the jump points serves every degree: O(n) work, no quadrature.
+    k = 0 takes the measure's exact mass of [t, 1]. One recurrence pass per
+    jump point, which runs on Python floats, serves every degree: O(n) work,
+    no quadrature.
     """
     a, b = p.alpha, p.beta
     t = np.array([pt for pt, _ in jumps], dtype=float)
@@ -247,12 +248,12 @@ def _jump_coefficients(p: JacobiParams, jumps, n: int) -> np.ndarray:
     coeffs = np.empty(n + 1)
     coeffs[0] = sum(ht * m.interval_mass_exact(pt, 1.0) for pt, ht in jumps)
     scale = d * (1.0 - t) ** (a + 1.0) * (1.0 + t) ** (b + 1.0)
-    for s, block in _jacobi_blocks(JacobiParams(a + 1.0, b + 1.0), n - 1, t):
-        # summed from -0.0, the exact additive identity: a product sum from
-        # +0.0 (`block @ scale` too) turns a -0.0 term into +0.0, while with
-        # one jump this keeps the bits of the per-row np.dot
-        rows = (block * scale).sum(axis=1, initial=-0.0)
-        coeffs[1 + s : 1 + s + rows.size] = rows
+    q = JacobiParams(a + 1.0, b + 1.0)
+    rows = np.hstack([jacobi_eval_table(q, n - 1, pt) for pt in t])
+    # summed from -0.0, the exact additive identity: a product sum from +0.0
+    # (`rows @ scale` too) turns a -0.0 term into +0.0, while with one jump
+    # this keeps the bits of the per-row np.dot
+    coeffs[1:] = (rows * scale).sum(axis=1, initial=-0.0)
     coeffs[1:] /= 2.0 * np.arange(1, n + 1)
     return coeffs / jacobi_norm_sequence(p, n)
 

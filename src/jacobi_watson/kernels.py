@@ -1,10 +1,12 @@
 """The summability kernel in three representations, plus the Dirichlet kernel.
 
 K(r, x, y) = sum_n r^n P_n(x) P_n(y) / h_n is computed by (1) direct series
-summation with a certified tail bound, (2) the closed form through the fourth
-Appell hypergeometric function, valid and manifestly nonnegative inside its
-convergence region, and (3) an oscillatory-free integral representation
-differentiated in r. The three routes are independent and cross-checked.
+summation with a certified tail bound, streamed through the blocked
+recurrence so that memory does not grow with the number of terms, (2) the
+closed form through the fourth Appell hypergeometric function, valid and
+manifestly nonnegative inside its convergence region, and (3) an
+oscillatory-free integral representation differentiated in r. The three
+routes are independent and cross-checked.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .errors import (
 )
 from .polynomials import (
     JacobiParams,
+    _FULL_BLOCK_POINTS,
     _growth_constant,
     _half_weight,
+    _jacobi_blocks,
     _norm_ratio,
     gauss_jacobi_rule,
     jacobi_eval_table,
@@ -231,22 +235,19 @@ def watson_kernel_series(
 def _series_pairs(p: JacobiParams, r: float, x, y, tol: float = 1e-10, max_terms: int = 100000):
     """Series kernel K(r, x_i, y_i) for each pair of the broadcast x and y.
 
-    All pairs share one certified truncation and one recurrence pass. Each
-    value is the pairwise sum over one table row, so a batch gives the same
-    bits as one-pair calls. Returns (values, n_terms, tail_bound).
+    All pairs share one certified truncation. They run in chunks of at most
+    _PAIR_CHUNK pairs, each one streamed pass (`_series_contract`), so every
+    chunk gets the same blocks of degrees and a batch gives the same bits as
+    one-pair calls. Returns (values, n_terms, tail_bound).
     """
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    outside = ~((np.abs(x) <= 1.0) & (np.abs(y) <= 1.0))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise DomainError(f"need x, y in [-1, 1], got ({x[i]}, {y[i]})")
+    x, y = np.broadcast_arrays(*_series_points(x, y))
     scale = max(1.0, 1.0 / jacobi_norm(p, 0))
     n_terms, tail = _series_budget(p, r, tol * scale, max_terms)
-    rows = np.ascontiguousarray(jacobi_eval_table(p, n_terms, np.concatenate([x, y])).T)
-    h = jacobi_norm_sequence(p, n_terms)
-    powers = r ** np.arange(n_terms + 1)
-    pairs = zip(rows[: x.size], rows[x.size :])
-    return [float(np.sum(powers * tx * ty / h)) for tx, ty in pairs], n_terms, tail
+    values = []
+    for lo in range(0, x.size, _PAIR_CHUNK):
+        c = slice(lo, lo + _PAIR_CHUNK)
+        values += _series_contract(p, r, n_terms, x[c], y[c], pairs=True).tolist()
+    return values, n_terms, tail
 
 
 def watson_series_matrix(
@@ -257,22 +258,54 @@ def watson_series_matrix(
     tol_abs: float = 1e-12,
     max_terms: int = 200000,
 ):
-    """Kernel matrix K(r, x_i, y_j) by one truncated-series contraction.
+    """Kernel matrix K(r, x_i, y_j) by one streamed truncated-series contraction.
 
     Returns (matrix, n_terms, tail_bound). The truncation length comes from
-    the same certified tail bound as the scalar series.
+    the same certified tail bound as the scalar series. Memory is the matrix
+    plus one block of recurrence rows, whatever the number of terms.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"need 0 < r < 1, got r = {r}")
+    x, y = _series_points(x, y)
+    n_terms, tail = _series_budget(p, r, tol_abs, max_terms)
+    return _series_contract(p, r, n_terms, x, y, pairs=False), n_terms, tail
+
+
+# pairs per streamed pass of `_series_pairs`: each pass has at most
+# _FULL_BLOCK_POINTS points, so the block size never follows the batch
+_PAIR_CHUNK = _FULL_BLOCK_POINTS // 2
+
+
+def _series_points(x, y):
+    """x and y as 1-d float arrays, after the one domain check of the series
+    routes: every point must be a number in [-1, 1], so nan and +-inf fail."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n_terms, tail = _series_budget(p, r, tol_abs, max_terms)
-    h = jacobi_norm_sequence(p, n_terms)
-    powers = r ** np.arange(n_terms + 1)
-    tx = jacobi_eval_table(p, n_terms, x)
-    ty = jacobi_eval_table(p, n_terms, y)
-    mat = (tx * (powers / h)[:, None]).T @ ty
-    return mat, n_terms, tail
+    for v in (x, y):
+        outside = ~(np.abs(v) <= 1.0)
+        if outside.any():
+            raise DomainError(f"need x, y in [-1, 1], got {v[np.argmax(outside)]}")
+    return x, y
+
+
+def _series_contract(p: JacobiParams, r: float, n_terms: int, x, y, pairs: bool):
+    """sum_(n <= n_terms) w_n P_n(x) P_n(y), w_n = r^n / h_n, in one pass.
+
+    One `_jacobi_blocks` pass over x and y together; each block of degrees
+    adds (Tx_b w_b)^T Ty_b to the matrix K(x_i, y_j), or, for pairs, the
+    row-wise products summed per pair (each pair's block reduced as one
+    contiguous row, so its bits do not depend on the other pairs).
+    """
+    w = r ** np.arange(n_terms + 1) / jacobi_norm_sequence(p, n_terms)
+    acc = np.zeros(x.size if pairs else (x.size, y.size))
+    for s, block in _jacobi_blocks(p, n_terms, np.concatenate([x, y])):
+        tx = block[:, : x.size] * w[s : s + block.shape[0], None]
+        ty = block[:, x.size :]
+        if pairs:
+            acc += np.ascontiguousarray((tx * ty).T).sum(axis=1)
+        else:
+            acc += tx.T @ ty
+    return acc
 
 
 def appell_f4(

@@ -6,7 +6,9 @@ table produced here and on the quadrature rules. The three-term recurrence
 lives only in `_jacobi_rows` and the norm ratio h_{n+1}/h_n only in
 `_norm_ratio`; every other module calls them. `_jacobi_blocks` is a view over
 the one recurrence that stacks its rows into blocks of degrees, so weighted
-sums run as one matrix product per block instead of one axpy per degree.
+sums run as one matrix product per block instead of one axpy per degree. On
+a single point the recurrence runs its steps on Python floats, bitwise the
+array steps, so its cost is the arithmetic rather than per-call overhead.
 """
 
 from __future__ import annotations
@@ -77,28 +79,31 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
     alpha, beta > -1; n = 1 uses the explicit linear polynomial, so the
     alpha+beta = 0 degeneracy never divides by zero.
 
-    Each step writes into one of three rotating buffers, so a yielded row is
-    valid only until the next-but-one step overwrites it: consume or copy it
-    before then. The steps keep the order ((c1 + c2*x)*cur - c3*prev)/c0, so
-    the rows are bitwise those of the allocating form. The coefficients
-    c0..c3 of every step come from one array expression each, the scalar
-    expressions in their order, so they are bitwise the per-step floats.
+    Every step is ((c1 + c2*x)*cur - c3*prev)/c0 in that order, with c0..c3
+    from `_recurrence_steps`. On several points each step runs as six ufunc
+    calls into one of three rotating buffers, so a yielded row is valid only
+    until the next-but-one step overwrites it: consume or copy it before
+    then. On one point the same steps run on Python floats, whose arithmetic
+    is the same IEEE double arithmetic without the per-call overhead, and the
+    rows are views of one column: bitwise the rows the array steps give.
     """
     a, b = p.alpha, p.beta
+    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    steps = _recurrence_steps(a, b, n_max)
+    if x.size == 1:
+        t, prev, cur = x.item(), 1.0, cur.item()
+        col = [prev, cur]
+        for c0, c1, c2, c3 in steps:
+            prev, cur = cur, ((t * c2 + c1) * cur - prev * c3) / c0
+            col.append(cur)
+        yield from np.array(col if n_max >= 1 else col[:1]).reshape((-1,) + x.shape)
+        return
     prev = np.ones_like(x)
     yield prev
     if n_max < 1:
         return
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     yield cur
     nxt = np.empty_like(cur)
-    n = np.arange(2, n_max + 1, dtype=float)
-    steps = zip(
-        2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0),
-        (2.0 * n + a + b - 1.0) * (a * a - b * b),
-        (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0),
-        2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b),
-    )
     for c0, c1, c2, c3 in steps:
         np.multiply(x, c2, out=nxt)
         np.add(nxt, c1, out=nxt)
@@ -110,11 +115,35 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
         yield cur
 
 
+# degrees whose recurrence coefficients `_recurrence_steps` forms at once
+_STEP_CHUNK = 4096
+
+
+def _recurrence_steps(a: float, b: float, n_max: int):
+    """Yield (c0, c1, c2, c3) of the steps to degrees n = 2..n_max.
+
+    One array expression per coefficient, evaluated over chunks of degrees
+    and handed out as Python floats: elementwise, so each value is bitwise
+    the scalar expression at its degree, while memory stays bounded.
+    """
+    for lo in range(2, n_max + 1, _STEP_CHUNK):
+        n = np.arange(lo, min(lo + _STEP_CHUNK, n_max + 1), dtype=float)
+        yield from zip(
+            (2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)).tolist(),
+            ((2.0 * n + a + b - 1.0) * (a * a - b * b)).tolist(),
+            ((2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)).tolist(),
+            (2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)).tolist(),
+        )
+
+
 # a block of `_jacobi_blocks` holds at most this many rows and this many floats
 # (1 MiB): enough degrees per block for a matrix product to pay, while the
 # buffer stays small next to a 32k-node row
 _BLOCK_ROWS = 64
 _BLOCK_FLOATS = 2**17
+# up to this many points every block but the last has _BLOCK_ROWS rows, so a
+# caller that splits its points into such passes gets the same blocks in each
+_FULL_BLOCK_POINTS = _BLOCK_FLOATS // _BLOCK_ROWS
 
 
 def _jacobi_blocks(p: JacobiParams, n_max: int, x: np.ndarray):

@@ -29,7 +29,7 @@ from jacobi_watson import (
 from jacobi_watson import abel as abel_module
 from jacobi_watson import test_function_family as function_family
 from jacobi_watson.abel import _as_expansion, _default_terms, _jump_coefficients, _trim
-from jacobi_watson.polynomials import _jacobi_rows, binomial_real
+from jacobi_watson.polynomials import _jacobi_blocks, _jacobi_rows, binomial_real
 
 
 def family(p):
@@ -331,6 +331,38 @@ class TestAdaptiveProjection:
             want[k] = np.dot(scale, row) / (2.0 * k)
         want /= jacobi_norm_sequence(p, n)
         assert _jump_coefficients(p, ((t, 2.0),), n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [
+            (0.5, 0.5, 56646),
+            (0.9, -0.9, 56646),
+            (-0.5, -0.5, 16384),
+            (-0.9, 0.3, 16384),
+            (1.5, 0.5, 16384),
+            (0.0, 0.0, 16384),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "jumps", [((0.0, 2.0),), ((-0.5, 1.0), (0.0, 2.0), (0.7, -0.5))], ids=["1jump", "3jumps"]
+    )
+    def test_jump_coefficients_are_the_blocked_array_form(self, a, b, n, jumps):
+        # one float recurrence pass per jump point keeps every bit of block
+        # sums over the array recurrence; a spare point keeps one jump on the
+        # array path in the reference
+        p = JacobiParams(a, b)
+        t = np.array([pt for pt, _ in jumps])
+        d = np.array([ht for _, ht in jumps])
+        want = np.empty(n + 1)
+        want[0] = sum(ht * WeightedMeasure.jacobi(a, b).interval_mass_exact(pt, 1.0)
+                      for pt, ht in jumps)
+        scale = d * (1.0 - t) ** (a + 1.0) * (1.0 + t) ** (b + 1.0)
+        for s, block in _jacobi_blocks(JacobiParams(a + 1.0, b + 1.0), n - 1, np.append(t, 0.5)):
+            rows = (block[:, : t.size] * scale).sum(axis=1, initial=-0.0)
+            want[1 + s : 1 + s + rows.size] = rows
+        want[1:] /= 2.0 * np.arange(1, n + 1)
+        want /= jacobi_norm_sequence(p, n)
+        assert _jump_coefficients(p, jumps, n).tobytes() == want.tobytes()
 
     @PARAMS
     def test_jump_matches_quadrature_route(self, a, b):

@@ -1,6 +1,7 @@
 """Kernel evaluation routes, their geometry helpers, and cross-validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from scipy.special import gamma, hyp2f1
 
 from jacobi_watson import (
     AbelParameter,
+    abel_mean,
     BaileyArguments,
     DomainError,
     JacobiParams,
     WatsonGeometry,
     appell_f4,
     dirichlet_kernel,
+    gauss_jacobi_rule,
     jacobi_eval,
+    jacobi_eval_table,
     jacobi_norm,
+    jacobi_norm_sequence,
     kernel_mass,
     modified_watson_kernel,
     watson_kernel,
@@ -23,8 +28,9 @@ from jacobi_watson import (
     watson_kernel_integral,
     watson_kernel_series,
 )
+from jacobi_watson import test_function_family as function_family
 from jacobi_watson.errors import SingularEvaluationError
-from jacobi_watson.kernels import watson_series_matrix
+from jacobi_watson.kernels import _series_budget, _series_pairs, watson_series_matrix
 
 BOXES = [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.3), (1.7, 0.4)]
 
@@ -237,3 +243,77 @@ def test_series_rejects_out_of_range():
     p = JacobiParams(0.0, 0.0)
     with pytest.raises(DomainError):
         watson_kernel_series(p, AbelParameter(0.5), 1.2, 0.0)
+
+
+class TestStreamedSeries:
+    """The series kernel streams the recurrence in blocks of degrees."""
+
+    @staticmethod
+    def _peak_bytes(call):
+        """Peak traced allocation of call() beyond what was live before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.9, -0.9), (-0.9, 0.3)])
+    def test_matrix_is_the_table_contraction(self, a, b):
+        # blocks move the sums by summation order only, measured against the
+        # envelope sum |w_n P_n(x) P_n(y)| of the table-built contraction
+        p, r = JacobiParams(a, b), 0.99
+        x = np.linspace(-0.95, 0.95, 6)
+        y = gauss_jacobi_rule(p, 300).nodes
+        mat, n_terms, _ = watson_series_matrix(p, r, x, y)
+        assert n_terms == _series_budget(p, r, 1e-12, 200000)[0]
+        w = r ** np.arange(n_terms + 1) / jacobi_norm_sequence(p, n_terms)
+        tx, ty = jacobi_eval_table(p, n_terms, x), jacobi_eval_table(p, n_terms, y)
+        want = (tx * w[:, None]).T @ ty
+        env = (np.abs(tx) * w[:, None]).T @ np.abs(ty)
+        assert np.max(np.abs(mat - want) / env) <= 1e-14
+
+    def test_pair_batches_are_one_pair_calls(self):
+        # 2500 pairs span three passes of up to 1024 pairs; every pass gets the
+        # blocks of degrees a one-pair call gets, so the bits agree
+        p, r = JacobiParams(0.5, -0.3), 0.9
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-1.0, 1.0, 2500), rng.uniform(-1.0, 1.0, 2500)
+        batch, _, _ = _series_pairs(p, r, x, y)
+        picked = [*range(8), *range(1018, 1030), *range(2042, 2054), *range(2492, 2500),
+                  *range(0, 2500, 97)]
+        for i in picked:
+            one, _, _ = _series_pairs(p, r, x[i], y[i])
+            assert np.float64(one[0]).tobytes() == np.float64(batch[i]).tobytes(), i
+
+    def test_kernel_mass_memory_stays_flat_near_one(self):
+        # r = 0.994 sums 10,466 terms on a 2048-node row; full tables of
+        # them took 164 MB
+        p, ab = JacobiParams(0.5, 0.5), AbelParameter(0.994)
+        kernel_mass(p, ab, 0.3)  # build the cached rule outside the guard
+        peak = self._peak_bytes(lambda: kernel_mass(p, ab, 0.3))
+        assert peak < 8 * 2**20
+
+    def test_kernel_route_mean_memory_stays_flat_near_one(self):
+        p = JacobiParams(0.5, 0.5)
+        sign = {f.tag: f for f in function_family(p)}["sign"]
+        x = np.linspace(-0.96, 0.96, 25)
+
+        def mean():
+            return abel_mean(sign, p, AbelParameter(0.99), x, route="kernel")
+
+        mean()  # the 1024-node rule is cached from here on
+        assert self._peak_bytes(mean) < 8 * 2**20
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0000001, math.nan, math.inf])
+    def test_points_outside_the_interval_are_refused(self, bad):
+        p = JacobiParams(0.5, 0.5)
+        inside = np.array([0.0, 0.3])
+        with pytest.raises(DomainError):
+            watson_series_matrix(p, 0.9, np.array([bad]), inside)
+        with pytest.raises(DomainError):
+            watson_series_matrix(p, 0.9, inside, np.array([0.2, bad]))
+        with pytest.raises(DomainError):
+            _series_pairs(p, 0.9, inside, bad)

@@ -194,6 +194,38 @@ def test_weighted_sum_memory_is_capped_on_large_rules():
     assert peak - out.nbytes < 2 * 2**20
 
 
+
+# one point runs the recurrence on Python floats; several points run the array
+# steps, and column j of a table is the table on the one point x_j alone
+FLOAT_PATH_PARAMS = [(0.9, -0.9), (-0.9, 0.3), (1.5, 1.5), (1.5, 0.5)]
+FLOAT_PATH_POINTS = [0.0, 0.3, -0.3, 1.0 - 1e-9, -(1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("a,b", FLOAT_PATH_PARAMS)
+def test_single_point_rows_are_the_array_rows(a, b):
+    p, n_max = JacobiParams(a, b), 56646
+    table = jacobi_eval_table(p, n_max, np.array(FLOAT_PATH_POINTS))
+    for j, t in enumerate(FLOAT_PATH_POINTS):
+        single = jacobi_eval_table(p, n_max, t)
+        assert single.shape == (n_max + 1, 1)
+        assert single[:, 0].tobytes() == table[:, j].tobytes(), t
+    # literally two points against one, at short lengths and at n_max 0 and 1
+    for n in (0, 1, 2, 64, 1000):
+        pair = jacobi_eval_table(p, n, np.array([0.3, -0.7]))
+        assert jacobi_eval_table(p, n, 0.3)[:, 0].tobytes() == pair[:, 0].tobytes()
+
+
+def test_single_point_rows_keep_the_shape_of_x():
+    p = JacobiParams(0.5, -0.3)
+    want = jacobi_eval_table(p, 40, np.array([0.3, 0.1]))[:, 0]
+    rows = list(_jacobi_rows(p, 40, np.array([[0.3]])))
+    assert len(rows) == 41 and all(row.shape == (1, 1) for row in rows)
+    assert np.array([row[0, 0] for row in rows]).tobytes() == want.tobytes()
+    assert [row.shape for row in _jacobi_rows(p, 0, np.array([0.3]))] == [(1,)]
+    assert jacobi_eval(p, 40, 0.3) == want[40]
+    assert jacobi_eval(p, 40, np.array([0.3])).tobytes() == want[40:].tobytes()
+
+
 class TestJacobiFunctions:
     def test_half_weight_product(self):
         p = JacobiParams(0.5, 1.2)
