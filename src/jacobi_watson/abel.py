@@ -51,6 +51,8 @@ _MAX_SERIES_TERMS = 16384
 # 1e-13 of max |c| only from degree 512 on.
 _PLATEAU_TOL = 1e-13
 _FIRST_CHECKPOINT = 128
+# series tolerance of `abel_mean`; its kernel route asks the kernel for 1e-3 of it
+_MEAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -290,27 +292,24 @@ def abel_mean(
     ab: AbelParameter,
     x,
     route: str = "series",
-    order: int | None = None,
-    tol: float = 1e-9,
 ):
     """Abel mean at parameter r: sum_n r^n c(n) P_n(x).
 
-    route "series" sums the damped expansion; route "kernel" integrates the
-    Watson kernel against f in the Jacobi measure. The two agree within the
-    stated series tolerance plus quadrature error.
+    route "series" sums the damped expansion, resolved to 1e-9; route "kernel"
+    integrates the Watson kernel against f in the Jacobi measure, on a
+    512-node rule (1024 above r = 0.9). The two agree within the series
+    tolerance plus quadrature error.
     """
     r = ab.r
     if route == "series":
-        vals = _damped_sum(_as_expansion(f, p, r, tol), np.array([r]), x)[0]
+        vals = _damped_sum(_as_expansion(f, p, r, _MEAN_TOL), np.array([r]), x)[0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
-    if order is None:
-        order = 1024 if r > 0.9 else 512
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    ynodes, yweights = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
+    ynodes, yweights = m.quadrature_rule(1024 if r > 0.9 else 512, getattr(f, "breakpoints", ()))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=tol * 1e-3)
+    mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=_MEAN_TOL * 1e-3)
     vals = mat @ (yweights * f(ynodes))
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
@@ -382,15 +381,16 @@ def jacobi_maximal(f, p: JacobiParams, x, r_grid=None, tol: float = 1e-8):
     return float(best[0]) if np.ndim(x) == 0 else best
 
 
-def lp_norm(f, p: JacobiParams, p_exp: float, order: int = 256) -> float:
-    """Lp norm with respect to J(dx); p_exp = inf takes a dense-grid sup."""
+def lp_norm(f, p: JacobiParams, p_exp: float) -> float:
+    """Lp norm with respect to J(dx), on a 256-node rule split at f's
+    breakpoints; p_exp = inf takes a dense-grid sup."""
     if p_exp != math.inf and p_exp < 1.0:
         raise DomainError(f"need p >= 1, got {p_exp}")
     if p_exp == math.inf:
         xs = np.cos(np.linspace(0.0, math.pi, 4096))[1:-1]
         return float(np.max(np.abs(f(xs))))
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
+    x, w = m.quadrature_rule(256, getattr(f, "breakpoints", ()))
     return float(np.dot(w, np.abs(f(x)) ** p_exp)) ** (1.0 / p_exp)
 
 
@@ -400,12 +400,12 @@ def lp_convergence_probe(
     p_exp: float,
     r_sequence,
     tol: float = 1e-8,
-    n_cell: int = 10,
 ):
     """Norms ||f(r, .) - f||_p,J along the given r sequence.
 
     The quadrature grid is graded toward the function's breakpoints, where the
-    Abel error concentrates in a layer of width about 1 - r.
+    Abel error concentrates in a layer of width about 1 - r, with a 10-node
+    rule on each cell.
     """
     rs = np.asarray(r_sequence, dtype=float)
     if np.any(rs <= 0.0) or np.any(rs >= 1.0):
@@ -414,7 +414,7 @@ def lp_convergence_probe(
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
     pieces = piece_edges(-1.0, 1.0, getattr(f, "breakpoints", ()))
     rules = [
-        m.cell_rules(graded_grid(lo, hi, min_scale=1e-10), n_cell)
+        m.cell_rules(graded_grid(lo, hi, min_scale=1e-10), 10)
         for lo, hi in zip(pieces[:-1], pieces[1:])
     ]
     x = np.concatenate([t for t, _ in rules])
@@ -426,33 +426,23 @@ def lp_convergence_probe(
     return [float(v) ** (1.0 / p_exp) for v in norms]
 
 
-def weak11_probe(
-    f,
-    p: JacobiParams,
-    lambda_grid=None,
-    n_cells: int = 2048,
-    r_grid=None,
-    tol: float = 1e-6,
-) -> float:
-    """Worst lambda * J{maximal > lambda} / ||f||_1 over the lambda grid.
+def weak11_probe(f, p: JacobiParams, n_cells: int = 2048) -> float:
+    """Worst lambda * J{maximal > lambda} / ||f||_1 over 25 geometric levels
+    lambda in [0.1, 10].
 
     The level-set measure is a sum of exact cell masses on a cosine-spaced
-    partition, with the maximal function sampled at cell midpoints.
+    partition, with the maximal function (on the default r grid, resolved to
+    1e-6) sampled at cell midpoints.
     """
-    if lambda_grid is None:
-        lambda_grid = np.geomspace(0.1, 10.0, 25)
-    lam = np.asarray(lambda_grid, dtype=float)
-    if np.any(lam <= 0.0):
-        raise DomainError("lambda grid must be positive")
     theta = np.linspace(math.pi, 0.0, n_cells + 1)
     edges = np.cos(theta)
     mids = 0.5 * (edges[:-1] + edges[1:])
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
     masses = m.cell_masses(edges)
-    maximal = jacobi_maximal(f, p, mids, r_grid=r_grid, tol=tol)
+    maximal = jacobi_maximal(f, p, mids, tol=1e-6)
     norm1 = lp_norm(f, p, 1.0)
     worst = 0.0
-    for lv in lam:
+    for lv in np.geomspace(0.1, 10.0, 25):
         level_mass = float(masses[maximal > lv].sum())
         worst = max(worst, lv * level_mass / norm1)
     return worst

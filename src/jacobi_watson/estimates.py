@@ -92,13 +92,13 @@ class PoissonTypeKernel:
         return math.sqrt(math.pi) * special.gamma(0.5 * a + 0.5) / special.gamma(0.5 * a + 1.0)
 
 
-def poisson_mass(tag: str, alpha: float | None = None, order: int = 128) -> float:
+def poisson_mass(tag: str, alpha: float | None = None) -> float:
     """Total integral of a comparison kernel over the line.
 
-    The substitution x = tan(theta) maps the half line to (0, pi/2); by
-    evenness the mass is twice that piece. The endpoint behavior of the
-    transformed integrand at pi/2 is a power of the distance (exponent -1/2
-    for k1, alpha for k4), absorbed by the rule. Folding at 0 also keeps the
+    The substitution x = tan(theta) maps the half line to (0, pi/2), taken on
+    a 128-node rule; by evenness the mass is twice that piece. The endpoint
+    behavior of the transformed integrand at pi/2 is a power of the distance
+    (exponent -1/2 for k1, alpha for k4), absorbed by the rule. Folding at 0 also keeps the
     |x| kink of k1 out of the rule's interior.
     """
     if tag == "k4" and (alpha is None or alpha <= -1.0):
@@ -110,12 +110,17 @@ def poisson_mass(tag: str, alpha: float | None = None, order: int = 128) -> floa
         e = float(alpha)
     else:
         e = 0.0
-    t, w = interval_rule(0.0, 0.5 * math.pi, order, e_left=0.0, e_right=e)
+    t, w = interval_rule(0.0, 0.5 * math.pi, 128, e_left=0.0, e_right=e)
     x = np.tan(t)
     return 2.0 * float(np.dot(w, kern(x) * (1.0 + x * x)))
 
 
 # ---- the L majorant ---------------------------------------------------------
+
+# nodes per cell and grading level of the s-rule, where the caller does not
+# choose them (`mainest_integral` and `j_operator_apply` do)
+_S_NODES = 16
+_S_LEVEL = 2
 
 
 def _s_rule(ab: AbelParameter, n_per_cell: int, level: int):
@@ -141,8 +146,6 @@ def L_majorant(
     ab: AbelParameter,
     x: float,
     y: float,
-    n_per_cell: int = 16,
-    level: int = 2,
 ) -> float:
     """The single-integral majorant
     (1-r) int_k^2 (s-min(x,y))^(1-alpha) / ((x-y)^2 + (s-1)(s-min))^(3/2)
@@ -151,7 +154,7 @@ def L_majorant(
         raise DomainError(f"need 0 <= x <= 1, got {x}")
     if not (-1.0 <= y <= 1.0):
         raise DomainError(f"need |y| <= 1, got {y}")
-    s, w = _s_rule(ab, n_per_cell, level)
+    s, w = _s_rule(ab, _S_NODES, _S_LEVEL)
     return float(_l_profile(p, ab, x, np.array([y]), s, w)[0])
 
 
@@ -160,8 +163,6 @@ def basic_inequality_constant(
     r_grid,
     x_grid,
     y_grid,
-    n_per_cell: int = 16,
-    level: int = 2,
 ) -> float:
     """Fitted C with K(r,x,y) <= C (1 + L(r,x,y)) over the probe grid."""
     xs = np.asarray(x_grid, dtype=float)
@@ -171,7 +172,7 @@ def basic_inequality_constant(
     worst = 0.0
     for r in np.atleast_1d(r_grid):
         ab = AbelParameter(float(r))
-        s, w = _s_rule(ab, n_per_cell, level)
+        s, w = _s_rule(ab, _S_NODES, _S_LEVEL)
         kmat, _, _ = watson_series_matrix(p, float(r), xs, ys)
         for i, x in enumerate(xs):
             lvals = _l_profile(p, ab, float(x), ys, s, w)
@@ -227,15 +228,13 @@ def dyadic_domination_constant(
     r_grid,
     x_grid,
     y_grid,
-    n_per_cell: int = 16,
-    level: int = 2,
 ) -> float:
     """Fitted C with L <= C sum_n 2^(-n/2) chi_{I_n} / J(I_n) on the grid."""
     ys = np.asarray(y_grid, dtype=float)
     worst = 0.0
     for r in np.atleast_1d(r_grid):
         ab = AbelParameter(float(r))
-        s, w = _s_rule(ab, n_per_cell, level)
+        s, w = _s_rule(ab, _S_NODES, _S_LEVEL)
         for x in np.atleast_1d(x_grid):
             maj = DyadicMajorant(p, ab, float(x))
             lvals = _l_profile(p, ab, float(x), ys, s, w)
@@ -246,48 +245,45 @@ def dyadic_domination_constant(
 # ---- bounded auxiliary integrals -------------------------------------------
 
 
-def estm_integrals(
-    ab: AbelParameter, x: float, n_per_cell: int = 16, level: int = 2
-) -> tuple:
+def estm_integrals(ab: AbelParameter, x: float) -> tuple:
     """The two windowed integrals
     (1-r) int_k^2 (s-k)^(-1/2) (s-x)^(-1/2) ds and
     (1-r) int_k^2 (s-k)^(-1/2) (s-1)^(-1/2) (s-x)^(-1/2) ds,
     bounded uniformly as r -> 1 for 0 <= x <= 1."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"need 0 <= x <= 1, got {x}")
-    s, w = _s_rule(ab, n_per_cell, level)
+    s, w = _s_rule(ab, _S_NODES, _S_LEVEL)
     pre = 1.0 - ab.r
     v1 = pre * float(np.dot(w, (s - x) ** -0.5))
     v2 = pre * float(np.dot(w, ((s - 1.0) * (s - x)) ** -0.5))
     return v1, v2
 
 
-def estm_proof_variant(ab: AbelParameter, n_per_cell: int = 16, level: int = 2) -> float:
+def estm_proof_variant(ab: AbelParameter) -> float:
     """(k-1)^(1/2) int_k^2 (s-k)^(-1/2) (s-1)^(-1) ds, the quantity the
     integration-by-parts argument actually bounds; also uniformly bounded."""
-    s, w = _s_rule(ab, n_per_cell, level)
+    s, w = _s_rule(ab, _S_NODES, _S_LEVEL)
     return math.sqrt(ab.k_minus_1) * float(np.dot(w, (s - 1.0) ** -1.0))
 
 
-def kernel_shift_check(eta: float, z_grid=None, a_grid=None) -> dict:
+def kernel_shift_check(eta: float, a_grid=None) -> dict:
     """Shift stability of the Poisson tail: for |a| < 1,
     (z^2+1)^eta / ((z+a)^2+1)^eta is at most (9/4)^eta when |z| > 3 and at
-    most 10^eta when |z| <= 3. Checked exactly on the grids."""
+    most 10^eta when |z| <= 3. Checked exactly on the shift grid and 2001
+    points z in [-10, 10]."""
     if eta <= 1.0:
         raise DomainError(f"need eta > 1, got {eta}")
-    if z_grid is None:
-        z_grid = np.linspace(-10.0, 10.0, 2001)
     if a_grid is None:
         a_grid = np.linspace(-0.99, 0.99, 199)
-    z = np.asarray(z_grid, dtype=float)
+    z = np.linspace(-10.0, 10.0, 2001)
     a = np.asarray(a_grid, dtype=float)
     if np.any(np.abs(a) >= 1.0):
         raise DomainError("shift grid must satisfy |a| < 1")
     a = a[a != 0.0]
     ratio = ((z[:, None] ** 2 + 1.0) / ((z[:, None] + a[None, :]) ** 2 + 1.0)) ** eta
     far = np.abs(z) > 3.0
-    worst_far = float(np.max(ratio[far])) if np.any(far) else 0.0
-    worst_near = float(np.max(ratio[~far])) if np.any(~far) else 0.0
+    worst_far = float(np.max(ratio[far]))
+    worst_near = float(np.max(ratio[~far]))
     bound_far = 2.25**eta
     bound_near = 10.0**eta
     return {
@@ -375,13 +371,12 @@ def j_domination_probe(
     f,
     r_grid,
     x_grid,
-    side: str = "alpha",
     n_y: int = 48,
     n_s: int = 16,
     level: int = 2,
 ) -> float:
-    """Worst ratio of the averaging operator against the measure maximal
-    function over the grid; finite ratios certify pointwise domination.
+    """Worst ratio of the alpha-side averaging operator against the measure
+    maximal function over the grid; finite ratios certify pointwise domination.
     Points where the maximal function vanishes are skipped."""
     from .harmonic import hl_maximal
 
@@ -395,7 +390,7 @@ def j_domination_probe(
         for x, fs in zip(xs, fstar):
             if fs <= tiny:
                 continue
-            val = j_operator_apply(p, ab, f, float(x), side, n_y, n_s, level)
+            val = j_operator_apply(p, ab, f, float(x), "alpha", n_y, n_s, level)
             worst = max(worst, val / fs)
     return worst
 

@@ -39,6 +39,15 @@ __all__ = [
 
 # ---- grids and cumulative profiles -------------------------------------
 
+# nodes per cell: of the maximal functions' windows, and of the stopping-time
+# halves and the A_p divergence families
+_WINDOW_NODES = 16
+_CELL_NODES = 24
+# the stopping time subdivides to this depth, and cells down to this share of
+# the total mass
+_CZ_MAX_DEPTH = 40
+_CZ_MIN_MASS_REL = 1e-9
+
 
 def _window_grid(m: WeightedMeasure, window_family) -> np.ndarray:
     """Endpoint grid for the interval family: graded toward both support ends
@@ -62,12 +71,12 @@ def _cell_sums(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.array([np.dot(wc, vc) for wc, vc in zip(w.reshape(-1, n), v.reshape(-1, n))])
 
 
-def _cell_data(m: WeightedMeasure, f, grid: np.ndarray, n_quad: int):
+def _cell_data(m: WeightedMeasure, f, grid: np.ndarray):
     """Per-cell exact masses and quadrature integrals of |f| d(mu)."""
     cuts = piece_edges(grid[0], grid[-1], getattr(f, "breakpoints", ()))
     grid = np.unique(np.concatenate([grid, cuts]))
-    t, w = m.cell_rules(grid, n_quad)
-    return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), n_quad)
+    t, w = m.cell_rules(grid, _WINDOW_NODES)
+    return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), _WINDOW_NODES)
 
 
 # right endpoints per block of _maximal_profile: large enough that numpy's
@@ -118,7 +127,7 @@ def _locate(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, grid.size - 2)
 
 
-def hl_maximal(m: WeightedMeasure, f, x, window_family=None, n_quad: int = 16):
+def hl_maximal(m: WeightedMeasure, f, x, window_family=None):
     """Non-centered maximal function sup over intervals I containing x of
     (1/mu(I)) int_I |f| dmu, the sup running over all intervals with endpoints
     in the window family's grid.
@@ -128,7 +137,7 @@ def hl_maximal(m: WeightedMeasure, f, x, window_family=None, n_quad: int = 16):
     over any single probed interval and grows under family refinement.
     """
     grid = _window_grid(m, window_family)
-    grid, masses, integrals = _cell_data(m, f, grid, n_quad)
+    grid, masses, integrals = _cell_data(m, f, grid)
     profile = _maximal_profile(masses, integrals)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     a, b = m.support
@@ -142,30 +151,23 @@ def hl_maximal(m: WeightedMeasure, f, x, window_family=None, n_quad: int = 16):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def lateral_maximal(
-    m: WeightedMeasure,
-    f,
-    a: float,
-    side: str,
-    n_points: int = 200,
-    n_quad: int = 16,
-) -> float:
+def lateral_maximal(m: WeightedMeasure, f, a: float, side: str) -> float:
     """One-sided maximal value at a: sup over intervals (x, a) (side "left")
     or (a, b) (side "right") of the measure average of |f|.
 
-    Candidate endpoints are graded toward a so the sup picks up the one-sided
-    limit f(a+-) when f is monotone.
+    Candidate endpoints are graded toward a (200 uniform plus the graded
+    ones) so the sup picks up the one-sided limit f(a+-) when f is monotone.
     """
     sa, sb = m.support
     if not (sa < a < sb):
         raise DomainError(f"need an interior point, got {a} in [{sa}, {sb}]")
     if side == "left":
-        grid = graded_breakpoints(sa, a, lean_left=False, min_scale=1e-12, n_uniform=n_points)
+        grid = graded_breakpoints(sa, a, lean_left=False, min_scale=1e-12, n_uniform=200)
     elif side == "right":
-        grid = graded_breakpoints(a, sb, lean_left=True, min_scale=1e-12, n_uniform=n_points)
+        grid = graded_breakpoints(a, sb, lean_left=True, min_scale=1e-12, n_uniform=200)
     else:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    grid, masses, integrals = _cell_data(m, f, grid, n_quad)
+    grid, masses, integrals = _cell_data(m, f, grid)
     if side == "left":
         cm = np.cumsum(masses[::-1])
         ci = np.cumsum(integrals[::-1])
@@ -204,13 +206,13 @@ class CZDecomposition:
     trivial: bool = False
 
 
-def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float, n_quad: int):
+def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float):
     """Integral of f dmu plus the max of f over the quadrature nodes; the
     node max certifies cells that can never produce a selectable child."""
-    t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), n_quad)
+    t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), _CELL_NODES)
     fv = np.asarray(f(t), dtype=float)
     total = 0.0
-    for part in _cell_sums(w, fv, n_quad):
+    for part in _cell_sums(w, fv, _CELL_NODES):
         total += float(part)
     return total, float(np.max(fv))
 
@@ -257,21 +259,14 @@ def _merged_mass(m: WeightedMeasure, intervals) -> tuple:
     return mass, tuple((l, r) for l, r in merged)
 
 
-def cz_decompose(
-    m: WeightedMeasure,
-    f,
-    lam: float,
-    max_depth: int = 40,
-    min_mass_rel: float = 1e-9,
-    n_quad: int = 24,
-) -> CZDecomposition:
+def cz_decompose(m: WeightedMeasure, f, lam: float) -> CZDecomposition:
     """Equal-measure bisection selection at threshold lam for f >= 0.
 
     Each interval is split at its measure midpoint; a half whose average
     exceeds lam is selected (the parent average <= lam forces the half's
-    average <= 2 lam), the rest are subdivided until the depth or mass floor.
-    Both halves exceeding lam under a parent at or below lam is impossible
-    and raises, rather than being assumed away.
+    average <= 2 lam), the rest are subdivided until depth 40 or a mass floor
+    of 1e-9 of the total. Both halves exceeding lam under a parent at or
+    below lam is impossible and raises, rather than being assumed away.
     """
     if lam <= 0.0:
         raise DomainError(f"need a positive threshold, got {lam}")
@@ -283,8 +278,8 @@ def cz_decompose(
         raise DomainError("decomposition requires f >= 0 on the support")
 
     total_mass = m.interval_mass_exact(a, b)
-    norm1 = _integral_and_sup(m, f, a, b, n_quad)[0]
-    mass_floor = min_mass_rel * total_mass
+    norm1 = _integral_and_sup(m, f, a, b)[0]
+    mass_floor = _CZ_MIN_MASS_REL * total_mass
 
     def _evaluators(selected):
         lefts = np.array([iv[0] for iv in selected])
@@ -317,7 +312,7 @@ def cz_decompose(
     stack = [(a, b, 0)]
     while stack:
         l, r, depth = stack.pop()
-        if depth >= max_depth:
+        if depth >= _CZ_MAX_DEPTH:
             continue
         (ll, c), (_, rr) = equal_measure_split(m, (l, r))
         over = 0
@@ -325,7 +320,7 @@ def cz_decompose(
             mass = m.interval_mass_exact(lo, hi)
             if mass <= 0.0:
                 continue
-            integral, sup = _integral_and_sup(m, f, lo, hi, n_quad)
+            integral, sup = _integral_and_sup(m, f, lo, hi)
             avg = integral / mass
             if avg > lam:
                 over += 1
@@ -643,12 +638,11 @@ def ap_divergence_probe(
     m: WeightedMeasure,
     p_exp: float,
     levels: int = 6,
-    grid_size: int = 128,
-    n_quad: int = 24,
 ) -> dict:
     """A_p products over families kept a shrinking distance 4^-j from the
-    support ends. Divergence (>10x growth across levels) flags a weight
-    outside the admissible class; admissible weights plateau.
+    support ends, each on a graded grid with 128 uniform points. Divergence
+    (>10x growth across levels) flags a weight outside the admissible class;
+    admissible weights plateau.
     """
     if p_exp <= 1.0:
         raise DomainError("need p > 1")
@@ -658,11 +652,11 @@ def ap_divergence_probe(
     sups = []
     for j in range(1, levels + 1):
         delta = width * 0.25**j
-        grid = graded_grid(a + delta, b - delta, min_scale=1e-6, n_uniform=grid_size)
-        t, wt = m.cell_rules(grid, n_quad)
+        grid = graded_grid(a + delta, b - delta, min_scale=1e-6, n_uniform=128)
+        t, wt = m.cell_rules(grid, _CELL_NODES)
         wv = w(t)
-        base = wt.reshape(-1, n_quad).sum(axis=1)
-        top = _cell_sums(wt, wv, n_quad)
-        sups.append(_window_sup(base, top, _cell_sums(wt, wv**s, n_quad), p_exp))
+        base = wt.reshape(-1, _CELL_NODES).sum(axis=1)
+        top = _cell_sums(wt, wv, _CELL_NODES)
+        sups.append(_window_sup(base, top, _cell_sums(wt, wv**s, _CELL_NODES), p_exp))
     divergent = sups[-1] > 10.0 * sups[0]
     return {"sups": sups, "divergent": divergent}

@@ -55,6 +55,12 @@ __all__ = [
 
 _CONFLUENT_GAP = 1e-6
 _BAILEY_MARGIN = 0.05
+# caps on the series truncation length, of the scalar series and its pairs and
+# of the matrix; a shared cap would change which calls raise at extreme exponents
+_SERIES_MAX_TERMS = 100000
+_MATRIX_MAX_TERMS = 200000
+# anti-diagonals the F4 sum may take before it is declared stalled
+_F4_MAX_DIAGONALS = 20000
 _growth_cache: dict = {}
 
 
@@ -225,14 +231,13 @@ def watson_kernel_series(
     x: float,
     y: float,
     tol: float = 1e-10,
-    max_terms: int = 100000,
 ) -> KernelEval:
     """Direct summation of sum_n r^n P_n(x) P_n(y) / h_n with a certified tail."""
-    values, n_terms, tail = _series_pairs(p, ab.r, x, y, tol, max_terms)
+    values, n_terms, tail = _series_pairs(p, ab.r, x, y, tol)
     return KernelEval(value=values[0], method="series", terms=n_terms, error_estimate=tail)
 
 
-def _series_pairs(p: JacobiParams, r: float, x, y, tol: float = 1e-10, max_terms: int = 100000):
+def _series_pairs(p: JacobiParams, r: float, x, y, tol: float = 1e-10):
     """Series kernel K(r, x_i, y_i) for each pair of the broadcast x and y.
 
     All pairs share one certified truncation. They run in chunks of at most
@@ -242,7 +247,7 @@ def _series_pairs(p: JacobiParams, r: float, x, y, tol: float = 1e-10, max_terms
     """
     x, y = np.broadcast_arrays(*_series_points(x, y))
     scale = max(1.0, 1.0 / jacobi_norm(p, 0))
-    n_terms, tail = _series_budget(p, r, tol * scale, max_terms)
+    n_terms, tail = _series_budget(p, r, tol * scale, _SERIES_MAX_TERMS)
     values = []
     for lo in range(0, x.size, _PAIR_CHUNK):
         c = slice(lo, lo + _PAIR_CHUNK)
@@ -256,7 +261,6 @@ def watson_series_matrix(
     x,
     y,
     tol_abs: float = 1e-12,
-    max_terms: int = 200000,
 ):
     """Kernel matrix K(r, x_i, y_j) by one streamed truncated-series contraction.
 
@@ -267,7 +271,7 @@ def watson_series_matrix(
     if not (0.0 < r < 1.0):
         raise DomainError(f"need 0 < r < 1, got r = {r}")
     x, y = _series_points(x, y)
-    n_terms, tail = _series_budget(p, r, tol_abs, max_terms)
+    n_terms, tail = _series_budget(p, r, tol_abs, _MATRIX_MAX_TERMS)
     return _series_contract(p, r, n_terms, x, y, pairs=False), n_terms, tail
 
 
@@ -316,7 +320,6 @@ def appell_f4(
     x: float,
     y: float,
     tol: float = 1e-14,
-    max_diagonals: int = 20000,
 ) -> float:
     """F4(a1, a2; c1, c2; x, y) summed by anti-diagonals.
 
@@ -336,7 +339,7 @@ def appell_f4(
         # one-variable reduction: a Gauss series in the surviving argument
         z, c = (y, c2) if x == 0.0 else (x, c1)
         term, total = 1.0, 1.0
-        for n in range(1, max_diagonals):
+        for n in range(1, _F4_MAX_DIAGONALS):
             term *= (a1 + n - 1.0) * (a2 + n - 1.0) * z / (n * (c + n - 1.0))
             total += term
             if abs(term) < tol * abs(total):
@@ -345,7 +348,7 @@ def appell_f4(
     total = 1.0
     lead = 1.0  # term at m = 0 on the current anti-diagonal
     small = 0
-    for d in range(1, max_diagonals + 1):
+    for d in range(1, _F4_MAX_DIAGONALS + 1):
         lead *= (a1 + d - 1.0) * (a2 + d - 1.0) * y / (d * (c2 + d - 1.0))
         m = np.arange(d, dtype=float)
         ratios = (x / y) * (d - m) * (c2 + d - m - 1.0) / ((m + 1.0) * (c1 + m))
@@ -364,7 +367,7 @@ def appell_f4(
         "F4 anti-diagonal sums did not settle",
         x=x,
         y=y,
-        diagonals=max_diagonals,
+        diagonals=_F4_MAX_DIAGONALS,
         last_sum=s_d,
     )
 
@@ -490,16 +493,15 @@ def watson_kernel(
     ab: AbelParameter,
     x: float,
     y: float,
-    tol: float = 1e-10,
 ) -> KernelEval:
     """Best-route dispatch: closed form inside its region unless F4 overflows, else series."""
     args = BaileyArguments.from_points(ab, x, y)
     if args.margin > _BAILEY_MARGIN:
         try:
-            return watson_kernel_bailey(p, ab, x, y, tol=min(tol, 1e-12))
+            return watson_kernel_bailey(p, ab, x, y, tol=1e-12)
         except ConvergenceError:
             pass
-    return watson_kernel_series(p, ab, x, y, tol=tol)
+    return watson_kernel_series(p, ab, x, y, tol=1e-10)
 
 
 def modified_watson_kernel(

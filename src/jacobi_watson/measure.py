@@ -34,6 +34,20 @@ _TINY_REL = 1e-6
 _MASS_NODES = 24
 
 
+def _jacobi_mass(alpha: float, beta: float, l, r):
+    """Mass of [l, r] in (1-x)^alpha (1+x)^beta dx, for floats or arrays,
+    from the regularized incomplete beta function. When both ends lie near +1
+    it is the difference of the complementary tails, free of cancellation."""
+    scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
+    vl, vr = 0.5 * (1.0 + l), 0.5 * (1.0 + r)
+    tail = vl + vr > 1.0
+    p = np.where(tail, alpha + 1.0, beta + 1.0)
+    q = np.where(tail, beta + 1.0, alpha + 1.0)
+    hi = np.where(tail, 1.0 - vl, vr)
+    lo = np.where(tail, 1.0 - vr, vl)
+    return scale * (special.betainc(p, q, hi) - special.betainc(p, q, lo))
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedMeasure:
     """Measure rho(x) dx on [support[0], support[1]].
@@ -138,10 +152,7 @@ class WeightedMeasure:
                 return x ** (p + 1.0) / (p + 1.0)
             return (1.0 - (-x) ** (p + 1.0)) / (p + 1.0)
         if self.family == "jacobi":
-            alpha, beta = self.params
-            v = 0.5 * (1.0 + x)
-            scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
-            return scale * special.betainc(beta + 1.0, alpha + 1.0, v)
+            return _jacobi_mass(*self.params, -1.0, x)
         return self._generic_cdf(x)
 
     def _quad_interval_mass(self, l: float, r: float) -> float:
@@ -168,19 +179,7 @@ class WeightedMeasure:
         if r - l < _TINY_REL * (b - a):
             return self._quad_interval_mass(l, r)
         if self.family == "jacobi":
-            alpha, beta = self.params
-            scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
-            vl, vr = 0.5 * (1.0 + l), 0.5 * (1.0 + r)
-            if vl + vr > 1.0:
-                # both ends near +1: difference of complementary tails
-                return scale * (
-                    special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vl)
-                    - special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vr)
-                )
-            return scale * (
-                special.betainc(beta + 1.0, alpha + 1.0, vr)
-                - special.betainc(beta + 1.0, alpha + 1.0, vl)
-            )
+            return _jacobi_mass(*self.params, l, r)
         return self._generic_cdf(r) - self._generic_cdf(l)
 
     def _cumulative_table(self):
@@ -317,10 +316,9 @@ class WeightedMeasure:
         """`interval_mass_exact` of each cell between consecutive edges.
 
         Batched over the cells and bitwise equal to the scalar loop: jacobi
-        masses take `special.betainc` on arrays with the complementary-tail
-        branch as a mask, product masses look the CDF table up in one
-        `searchsorted`, and tiny cells and partial table cells sum batched
-        24-node rules. Power masses stay a loop over the scalar, whose libm
+        masses take `_jacobi_mass` on arrays, product masses look the CDF
+        table up in one `searchsorted`, and tiny cells and partial table cells
+        sum batched 24-node rules. Power masses stay a loop over the scalar, whose libm
         `**`, `log` and `expm1` numpy's vector versions do not match to the ulp.
         """
         if self.family == "power":
@@ -339,20 +337,7 @@ class WeightedMeasure:
         if self.family == "product":
             out[wide] = self._generic_cdfs(r[wide]) - self._generic_cdfs(l[wide])
             return out
-        alpha, beta = self.params
-        scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
-        vl, vr = 0.5 * (1.0 + l), 0.5 * (1.0 + r)
-        # both ends near +1: difference of complementary tails
-        right = wide & (vl + vr > 1.0)
-        left = wide & ~(vl + vr > 1.0)
-        out[right] = scale * (
-            special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vl[right])
-            - special.betainc(alpha + 1.0, beta + 1.0, 1.0 - vr[right])
-        )
-        out[left] = scale * (
-            special.betainc(beta + 1.0, alpha + 1.0, vr[left])
-            - special.betainc(beta + 1.0, alpha + 1.0, vl[left])
-        )
+        out[wide] = _jacobi_mass(*self.params, l[wide], r[wide])
         return out
 
     def quadrature_rule(self, n: int, breakpoints=()):
@@ -419,20 +404,19 @@ def interval_mass(m: WeightedMeasure, interval) -> float:
     return m.interval_mass_exact(l, r)
 
 
-def equal_measure_split(m: WeightedMeasure, interval, tol: float = 1e-12,
-                        max_iter: int = 200):
-    """Split an interval into two halves of equal measure by CDF bisection."""
+def equal_measure_split(m: WeightedMeasure, interval):
+    """Split an interval into two halves of equal measure by CDF bisection,
+    to 1e-12 of its mass or at most 200 steps."""
     l, r = _check_inside(m, interval)
     total = interval_mass(m, (l, r))
     if total <= 0.0:
         raise DegenerateInputError(f"interval [{l}, {r}] has zero mass")
     lo, hi = l, r
-    c = 0.5 * (l + r)
-    for _ in range(max_iter):
+    for _ in range(200):
         c = 0.5 * (lo + hi)
         left = interval_mass(m, (l, c))
         err = left - 0.5 * total
-        if abs(err) <= 0.5 * tol * total or hi - lo <= 1e-17 * (r - l):
+        if abs(err) <= 0.5 * 1e-12 * total or hi - lo <= 1e-17 * (r - l):
             break
         if err > 0.0:
             hi = c

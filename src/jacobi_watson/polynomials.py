@@ -291,12 +291,13 @@ def _half_weight(p: JacobiParams, x):
     return (1.0 - x) ** (0.5 * p.alpha) * (1.0 + x) ** (0.5 * p.beta)
 
 
-def growth_bound_probe(p: JacobiParams, n_max: int, grid_size: int = 400) -> float:
+def growth_bound_probe(p: JacobiParams, n_max: int) -> float:
     """Fit C in sup |P_n| <= C n^(q+1/2), q = max(alpha, beta) >= -1/2.
 
-    Returns the sup over 1 <= n <= n_max and a cosine-spaced x grid (endpoints
-    included) of |P_n(x)| / n^(q+1/2). The profile decays after small n, so the
-    returned constant stops growing once n_max clears the first few degrees.
+    Returns the sup over 1 <= n <= n_max and a 400-point cosine-spaced x grid
+    (endpoints included) of |P_n(x)| / n^(q+1/2). The profile decays after
+    small n, so the returned constant stops growing once n_max clears the
+    first few degrees.
     """
     if p.q < -0.5:
         raise RegimeError(
@@ -304,7 +305,7 @@ def growth_bound_probe(p: JacobiParams, n_max: int, grid_size: int = 400) -> flo
         )
     if n_max < 1:
         raise DomainError(f"need n_max >= 1, got {n_max}")
-    return _growth_constant(p, n_max, grid_size)
+    return _growth_constant(p, n_max, 400)
 
 
 def _growth_constant(p: JacobiParams, n_max: int = 64, grid_size: int = 200) -> float:

@@ -163,10 +163,14 @@ def _hahn_sums(n: int, a: float, b: float, t: np.ndarray, cp, cd):
         qp = np.full_like(e0, cp[m, m])
         qd = np.full_like(e0, cd[m, m])
         for l in range(m - 1, -1, -1):
-            qp = qp * u + cp[m, l]
-            qd = qd * u + cd[m, l]
-        fp = fp * v + qp
-        fd = fd * v + qd
+            qp *= u
+            qp += cp[m, l]
+            qd *= u
+            qd += cd[m, l]
+        fp *= v
+        fp += qp
+        fd *= v
+        fd += qd
     return (e0 * fp).real, (-1j * e0 * fd).real
 
 
@@ -330,22 +334,21 @@ def graded_breakpoints(
     l: float,
     r: float,
     lean_left: bool = True,
-    ratio: float = 2.0,
     min_scale: float = 1e-15,
     n_uniform: int = 4,
 ) -> np.ndarray:
     """Breakpoints of [l, r] accumulating geometrically toward one endpoint.
 
     The first cell next to the graded endpoint has width about min_scale*(r-l);
-    widths grow by `ratio` until they reach the uniform part.
+    widths double until they reach the uniform part.
     """
     if not (r > l):
         raise DegenerateInputError(f"need r > l, got [{l}, {r}]")
     width = r - l
     rel = [1.0 / n_uniform * k for k in range(n_uniform + 1)]
     pts = [1.0 / n_uniform]
-    while pts[-1] / ratio > min_scale:
-        pts.append(pts[-1] / ratio)
+    while pts[-1] / 2.0 > min_scale:
+        pts.append(pts[-1] / 2.0)
     rel = sorted(set(rel + pts))
     rel = np.asarray(rel)
     if lean_left:
@@ -366,18 +369,16 @@ def piece_edges(l: float, r: float, breakpoints) -> list:
     return [l] + sorted(b for b in breakpoints if l < b < r) + [r]
 
 
-def composite_rule(breakpoints, n: int, e_left: float = 0.0, e_right: float = 0.0):
-    """Composite rule over consecutive cells; endpoint exponents apply to the
-    outermost cells only (interior cells are plain Gauss)."""
+def composite_rule(breakpoints, n: int, e_left: float = 0.0):
+    """Composite rule over consecutive cells; the left endpoint exponent
+    applies to the first cell only (the other cells are plain Gauss)."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2:
         raise DegenerateInputError("need at least two breakpoints")
     nodes, weights = [], []
-    last = bp.size - 2
     for i in range(bp.size - 1):
         el = e_left if i == 0 else 0.0
-        er = e_right if i == last else 0.0
-        t, w = interval_rule(bp[i], bp[i + 1], n, el, er)
+        t, w = interval_rule(bp[i], bp[i + 1], n, el)
         nodes.append(t)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
