@@ -39,14 +39,16 @@ __all__ = [
 
 # ---- grids and cumulative profiles -------------------------------------
 
-# nodes per cell: of the maximal functions' windows, and of the stopping-time
-# halves and the A_p divergence families
-_WINDOW_NODES = 16
-_CELL_NODES = 24
+# nodes per cell of the grids of `hl_maximal` and of `lateral_maximal`
+_HL_NODES = 16
+_LATERAL_NODES = 16
 # the stopping time subdivides to this depth, and cells down to this share of
-# the total mass
+# the total mass; each half is integrated with this many nodes per cell
 _CZ_MAX_DEPTH = 40
 _CZ_MIN_MASS_REL = 1e-9
+_CZ_NODES = 24
+# nodes per cell of the A_p divergence families
+_AP_NODES = 24
 
 
 def _window_grid(m: WeightedMeasure, window_family) -> np.ndarray:
@@ -71,12 +73,12 @@ def _cell_sums(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.array([np.dot(wc, vc) for wc, vc in zip(w.reshape(-1, n), v.reshape(-1, n))])
 
 
-def _cell_data(m: WeightedMeasure, f, grid: np.ndarray):
+def _cell_data(m: WeightedMeasure, f, grid: np.ndarray, n_quad: int):
     """Per-cell exact masses and quadrature integrals of |f| d(mu)."""
     cuts = piece_edges(grid[0], grid[-1], getattr(f, "breakpoints", ()))
     grid = np.unique(np.concatenate([grid, cuts]))
-    t, w = m.cell_rules(grid, _WINDOW_NODES)
-    return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), _WINDOW_NODES)
+    t, w = m.cell_rules(grid, n_quad)
+    return grid, m.cell_masses(grid), _cell_sums(w, np.abs(f(t)), n_quad)
 
 
 # right endpoints per block of _maximal_profile: large enough that numpy's
@@ -137,7 +139,7 @@ def hl_maximal(m: WeightedMeasure, f, x, window_family=None):
     over any single probed interval and grows under family refinement.
     """
     grid = _window_grid(m, window_family)
-    grid, masses, integrals = _cell_data(m, f, grid)
+    grid, masses, integrals = _cell_data(m, f, grid, _HL_NODES)
     profile = _maximal_profile(masses, integrals)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     a, b = m.support
@@ -167,7 +169,7 @@ def lateral_maximal(m: WeightedMeasure, f, a: float, side: str) -> float:
         grid = graded_breakpoints(a, sb, lean_left=True, min_scale=1e-12, n_uniform=200)
     else:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    grid, masses, integrals = _cell_data(m, f, grid)
+    grid, masses, integrals = _cell_data(m, f, grid, _LATERAL_NODES)
     if side == "left":
         cm = np.cumsum(masses[::-1])
         ci = np.cumsum(integrals[::-1])
@@ -209,10 +211,10 @@ class CZDecomposition:
 def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float):
     """Integral of f dmu plus the max of f over the quadrature nodes; the
     node max certifies cells that can never produce a selectable child."""
-    t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), _CELL_NODES)
+    t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), _CZ_NODES)
     fv = np.asarray(f(t), dtype=float)
     total = 0.0
-    for part in _cell_sums(w, fv, _CELL_NODES):
+    for part in _cell_sums(w, fv, _CZ_NODES):
         total += float(part)
     return total, float(np.max(fv))
 
@@ -653,10 +655,10 @@ def ap_divergence_probe(
     for j in range(1, levels + 1):
         delta = width * 0.25**j
         grid = graded_grid(a + delta, b - delta, min_scale=1e-6, n_uniform=128)
-        t, wt = m.cell_rules(grid, _CELL_NODES)
+        t, wt = m.cell_rules(grid, _AP_NODES)
         wv = w(t)
-        base = wt.reshape(-1, _CELL_NODES).sum(axis=1)
-        top = _cell_sums(wt, wv, _CELL_NODES)
-        sups.append(_window_sup(base, top, _cell_sums(wt, wv**s, _CELL_NODES), p_exp))
+        base = wt.reshape(-1, _AP_NODES).sum(axis=1)
+        top = _cell_sums(wt, wv, _AP_NODES)
+        sups.append(_window_sup(base, top, _cell_sums(wt, wv**s, _AP_NODES), p_exp))
     divergent = sups[-1] > 10.0 * sups[0]
     return {"sups": sups, "divergent": divergent}

@@ -55,6 +55,8 @@ __all__ = [
 
 _CONFLUENT_GAP = 1e-6
 _BAILEY_MARGIN = 0.05
+# relative tolerance of the closed form's F4 sum
+_BAILEY_TOL = 1e-12
 # caps on the series truncation length, of the scalar series and its pairs and
 # of the matrix; a shared cap would change which calls raise at extreme exponents
 _SERIES_MAX_TERMS = 100000
@@ -387,7 +389,6 @@ def watson_kernel_bailey(
     ab: AbelParameter,
     x: float,
     y: float,
-    tol: float = 1e-12,
 ) -> KernelEval:
     """Closed form: prefactor times F4 evaluated at ((a/k)^2, (b/k)^2).
 
@@ -408,18 +409,18 @@ def watson_kernel_bailey(
         b + 1.0,
         args.first,
         args.second,
-        tol=tol,
+        tol=_BAILEY_TOL,
     )
     # diagonal count heuristic mirrors the F4 stopping rule
     decay = 1.0 - args.margin
     est_terms = 4
     if 1e-12 < decay < 1.0:
-        est_terms = max(4, int(math.log(tol) / math.log(decay)))
+        est_terms = max(4, int(math.log(_BAILEY_TOL) / math.log(decay)))
     return KernelEval(
         value=pref * f4,
         method="bailey",
         terms=est_terms,
-        error_estimate=tol * abs(pref * f4),
+        error_estimate=_BAILEY_TOL * abs(pref * f4),
     )
 
 
@@ -498,10 +499,10 @@ def watson_kernel(
     args = BaileyArguments.from_points(ab, x, y)
     if args.margin > _BAILEY_MARGIN:
         try:
-            return watson_kernel_bailey(p, ab, x, y, tol=1e-12)
+            return watson_kernel_bailey(p, ab, x, y)
         except ConvergenceError:
             pass
-    return watson_kernel_series(p, ab, x, y, tol=1e-10)
+    return watson_kernel_series(p, ab, x, y)
 
 
 def modified_watson_kernel(

@@ -37,15 +37,25 @@ _MASS_NODES = 24
 def _jacobi_mass(alpha: float, beta: float, l, r):
     """Mass of [l, r] in (1-x)^alpha (1+x)^beta dx, for floats or arrays,
     from the regularized incomplete beta function. When both ends lie near +1
-    it is the difference of the complementary tails, free of cancellation."""
+    it is the difference of the complementary tails, free of cancellation.
+    Floats pick that branch with an `if`, as `np.where` on 0-d arrays would
+    double the cost of a scalar mass, and skip the zero tail below a CDF's
+    lower end."""
     scale = 2.0 ** (alpha + beta + 1.0) * special.beta(beta + 1.0, alpha + 1.0)
     vl, vr = 0.5 * (1.0 + l), 0.5 * (1.0 + r)
     tail = vl + vr > 1.0
-    p = np.where(tail, alpha + 1.0, beta + 1.0)
-    q = np.where(tail, beta + 1.0, alpha + 1.0)
-    hi = np.where(tail, 1.0 - vl, vr)
-    lo = np.where(tail, 1.0 - vr, vl)
-    return scale * (special.betainc(p, q, hi) - special.betainc(p, q, lo))
+    if isinstance(tail, np.ndarray):
+        p = np.where(tail, alpha + 1.0, beta + 1.0)
+        q = np.where(tail, beta + 1.0, alpha + 1.0)
+        hi = np.where(tail, 1.0 - vl, vr)
+        lo = np.where(tail, 1.0 - vr, vl)
+        return scale * (special.betainc(p, q, hi) - special.betainc(p, q, lo))
+    if tail:
+        p, q, hi, lo = alpha + 1.0, beta + 1.0, 1.0 - vl, 1.0 - vr
+    else:
+        p, q, hi, lo = beta + 1.0, alpha + 1.0, vr, vl
+    below = 0.0 if lo == 0.0 else special.betainc(p, q, lo)
+    return scale * (special.betainc(p, q, hi) - below)
 
 
 @dataclass(frozen=True, eq=False)

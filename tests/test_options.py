@@ -4,10 +4,11 @@ An option that every caller leaves at its default is a constant that nothing
 tests at any other value. This test parses `src/`, `tests/` and `perfbench/`
 with `ast` and asserts that each keyword parameter (one with a default) of a
 function or method named in a module's `__all__` is passed by at least one
-call: by name, or by filling its position. perfbench calls library functions
-through `_call(module, "name", *args, **kwargs)`, which counts as a call to
-`name`. Calls are matched by the callee's name only, so a call to another
-function of the same name also counts.
+call: by name, or by filling its position. A literal equal to the default
+does not count, as passing the default sets nothing. perfbench calls library
+functions through `_call(module, "name", *args, **kwargs)`, which counts as a
+call to `name`. Calls are matched by the callee's name only, so a call to
+another function of the same name also counts.
 """
 
 import ast
@@ -32,8 +33,18 @@ def _public_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_LITERAL
+
+
 def _options(fn: ast.FunctionDef, is_method: bool):
-    """(name, position or None) of every parameter that has a default."""
+    """(name, position or None, default) of every parameter that has a default."""
     positional = fn.args.posonlyargs + fn.args.args
     if is_method and not any(
         isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
@@ -42,26 +53,26 @@ def _options(fn: ast.FunctionDef, is_method: bool):
     first_default = len(positional) - len(fn.args.defaults)
     for i, arg in enumerate(positional):
         if i >= first_default:
-            yield arg.arg, i
+            yield arg.arg, i, _literal(fn.args.defaults[i - first_default])
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, _literal(default)
 
 
-def public_options() -> list[tuple[str, str, str, int | None]]:
-    """(module, function, parameter, position) for the public API."""
+def public_options() -> list[tuple[str, str, str, int | None, object]]:
+    """(module, function, parameter, position, default) for the public API."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         public = _public_names(tree)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name in public:
-                found += [(path.stem, node.name, p, i) for p, i in _options(node, False)]
+                found += [(path.stem, node.name, *o) for o in _options(node, False)]
             elif isinstance(node, ast.ClassDef) and node.name in public:
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                         name = f"{node.name}.{fn.name}"
-                        found += [(path.stem, name, p, i) for p, i in _options(fn, True)]
+                        found += [(path.stem, name, *o) for o in _options(fn, True)]
     return found
 
 
@@ -80,8 +91,10 @@ def _callee(call: ast.Call):
     return name, args
 
 
-def observed_calls() -> dict[str, list[tuple[int, set[str]]]]:
-    """Callee name -> (positional count, keyword names) of every call."""
+def observed_calls() -> dict[str, list[tuple[list, dict]]]:
+    """Callee name -> (positional values, keyword values) of every call, each
+    value the literal passed or _NOT_LITERAL. Positions after a starred
+    argument are unknown and left out."""
     calls = defaultdict(list)
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -89,25 +102,32 @@ def observed_calls() -> dict[str, list[tuple[int, set[str]]]]:
                 if isinstance(node, ast.Call):
                     name, args = _callee(node)
                     if name is not None:
-                        n_pos = sum(not isinstance(a, ast.Starred) for a in args)
-                        calls[name].append((n_pos, {k.arg for k in node.keywords if k.arg}))
+                        pos = []
+                        for a in args:
+                            if isinstance(a, ast.Starred):
+                                break
+                            pos.append(_literal(a))
+                        kws = {k.arg: _literal(k.value) for k in node.keywords if k.arg}
+                        calls[name].append((pos, kws))
     return calls
 
 
 def unset_options() -> list[str]:
     calls = observed_calls()
     unset = []
-    for module, qualname, param, position in public_options():
-        seen = calls.get(qualname.rsplit(".", 1)[-1], [])
-        if not any(
-            param in kws or (position is not None and n_pos > position) for n_pos, kws in seen
-        ):
+    for module, qualname, param, position, default in public_options():
+        passed = [
+            kws[param] if param in kws else pos[position]
+            for pos, kws in calls.get(qualname.rsplit(".", 1)[-1], [])
+            if param in kws or (position is not None and len(pos) > position)
+        ]
+        if not any(v is _NOT_LITERAL or v != default for v in passed):
             unset.append(f"{module}.{qualname}({param}=)")
     return unset
 
 
 def test_the_scan_sees_the_public_api():
-    names = {(m, f) for m, f, _, _ in public_options()}
+    names = {(m, f) for m, f, *_ in public_options()}
     assert ("abel", "abel_mean") in names
     assert ("measure", "WeightedMeasure.quadrature_rule") in names
     assert ("harmonic", "hl_maximal") in names
