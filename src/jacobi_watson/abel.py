@@ -25,7 +25,7 @@ from .polynomials import (
     jacobi_weighted_sum,
 )
 from .quadrature import composite_rule, graded_breakpoints, graded_grid, piece_edges
-from .quadrature import _gauss_jacobi_raw
+from .quadrature import _ASY_MIN_NODES, _gauss_jacobi_raw
 
 __all__ = [
     "Expansion",
@@ -187,17 +187,22 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: keep[-1] + 1]
 
 
+def _window_flat(head: np.ndarray) -> bool:
+    """True when the top half of the coefficients, j in [k/2, k] with
+    k = head.size - 1, sits at or below _PLATEAU_TOL * max |c|."""
+    mags = np.abs(head)
+    return mags[head.size // 2 :].max() <= _PLATEAU_TOL * mags.max()
+
+
 def _plateaued(p: JacobiParams, head: np.ndarray, x, w, fx) -> bool:
     """True when the projection may stop at degree k = head.size - 1.
 
-    Window: the top half of the coefficients, j in [k/2, k], sits at or below
-    _PLATEAU_TOL * max |c|. Guard: the partial sum reproduces f on the rule's
+    Window: `_window_flat`. Guard: the partial sum reproduces f on the rule's
     nodes to _PLATEAU_TOL in the rule-weighted norm. On the full rule nothing
     aliases, so a sparse spectrum (a lone P_500 behind P_3) passes the window
     at k = 128 and 256; only the residual sees it.
     """
-    mags = np.abs(head)
-    if mags[head.size // 2 :].max() > _PLATEAU_TOL * mags.max():
+    if not _window_flat(head):
         return False
     resid = fx - jacobi_weighted_sum(p, head, x)
     return float(np.dot(w, resid * resid)) <= _PLATEAU_TOL**2 * float(np.dot(w, fx * fx))
@@ -207,25 +212,51 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     """Expansion of f resolved for Abel means up to r_max at tolerance tol.
 
     The degree `_default_terms` gives (r_max^n <= tol plus a margin, capped
-    at _MAX_SERIES_TERMS) sizes the rule and bounds the projection, which
-    stops early at the first doubling checkpoint k >= _FIRST_CHECKPOINT where
-    the coefficients have plateaued (`_plateaued`), after Aurentz & Trefethen,
-    "Chopping a Chebyshev series", ACM TOMS 43 (2017). The jumps f declares
-    contribute their coefficients up to the bound in closed form
-    (`_jump_coefficients`), and only the remainder f - sum d H(x - t) is
-    projected: for `sign` it is the constant -1, which stops at the first
-    checkpoint. Inputs that still never plateau, such as the kink of
-    `clipped`, run to the bound with the coefficients
-    `fourier_jacobi_coefficients` gives. The trailing noise is then trimmed.
+    at _MAX_SERIES_TERMS) bounds the projection, which stops early at the
+    first doubling checkpoint k >= _FIRST_CHECKPOINT where the coefficients
+    have plateaued, after Aurentz & Trefethen, "Chopping a Chebyshev series",
+    ACM TOMS 43 (2017). The jumps f declares contribute their coefficients up
+    to the bound in closed form (`_jump_coefficients`), and only the
+    remainder f - sum d H(x - t) is projected: for `sign` it is the constant
+    -1.
+
+    The remainder is projected on two rungs of rules. When the rule the bound
+    asks for (`_rule_size`) is larger than _ASY_MIN_NODES per piece between
+    breakpoints, the first rung projects on that smaller rule by residual
+    (`_project_residual`), up to the largest checkpoint it resolves, and keeps
+    the result if a checkpoint plateaus and the expansion also reproduces the
+    remainder between the rung's nodes (`_resolved_between`). Otherwise the
+    full rule projects as `fourier_jacobi_coefficients` does (`_project`), so
+    inputs that never plateau, such as the kink of `clipped`, run to the bound
+    with the bits and the cost they had without the rung. The trailing noise
+    is then trimmed. Nodes and midpoints together still miss a feature
+    narrower than half the rung's node spacing (about 3e-3 mid-interval on
+    one piece) and a component that vanishes on all of them, which has degree
+    at least 2 * _ASY_MIN_NODES - 1 per piece.
     """
     if isinstance(f, Expansion):
         return f
     n = _default_terms(r_max, tol)
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    x, w = m.quadrature_rule(_rule_size(n), getattr(f, "breakpoints", ()))
+    breakpoints = getattr(f, "breakpoints", ())
     jumps = getattr(f, "jumps", ())
-    steps = sum(d * np.heaviside(x - t, 0.5) for t, d in jumps)
-    e = _project(p, x, w, f(x) - steps, n)
+
+    def remainder(x):
+        return f(x) - sum(d * np.heaviside(x - t, 0.5) for t, d in jumps)
+
+    rung = _ASY_MIN_NODES * (len(piece_edges(-1.0, 1.0, breakpoints)) - 1)
+    e = None
+    if _rule_size(n) > rung:
+        x, w = m.quadrature_rule(rung, breakpoints)
+        top = _FIRST_CHECKPOINT
+        while _rule_size(2 * top) <= rung:
+            top *= 2
+        e = _project_residual(p, x, w, remainder(x), top)
+        if e is not None and not _resolved_between(e, remainder, x, w, rung // _ASY_MIN_NODES):
+            e = None
+    if e is None:
+        x, w = m.quadrature_rule(_rule_size(n), breakpoints)
+        e = _project(p, x, w, remainder(x), n)
     if not jumps:
         return e
     coeffs = _jump_coefficients(p, jumps, n)
@@ -280,6 +311,57 @@ def _project(p: JacobiParams, x, w, fx, n: int) -> Expansion:
     return Expansion(params=p, coeffs=_trim(coeffs))
 
 
+def _project_residual(p: JacobiParams, x, w, fx, n: int):
+    """Expansion of the values fx on the rule (x, w) for J by residual
+    projection, stopped at the first plateaued checkpoint up to degree n and
+    trimmed; None when no checkpoint plateaus.
+
+    Each degree takes c_j = <res, P_j>_w / h_j from the running residual and
+    then removes c_j P_j from it (modified Gram-Schmidt; Bjorck, BIT 7, 1967),
+    so a coefficient carries the rule's error only in proportion to what is
+    left of f, and the guard reads the residual itself: at a checkpoint the
+    window must be flat (`_window_flat`) and ||res||_w at most _PLATEAU_TOL of
+    ||f||_w. It needs a rule on which the P_j up to degree n are orthogonal:
+    the Gauss rule for J, or a split rule, whose pieces absorb their end's
+    exponent and integrate the other factor, smooth on the piece, to near
+    rounding. The full rule keeps `_project`'s classical sums: this update
+    per degree took `clipped` at r = 1 - 2^-12, which never plateaus, from
+    about 2.5 s to 4.5 s.
+    """
+    h = jacobi_norm_sequence(p, n)
+    res = np.array(fx, dtype=float)
+    floor = _PLATEAU_TOL**2 * float(np.dot(w, res * res))
+    coeffs = np.empty(n + 1)
+    k = _FIRST_CHECKPOINT
+    for j, row in enumerate(_jacobi_rows(p, n, x)):
+        coeffs[j] = c = np.dot(w * res, row) / h[j]
+        res -= c * row
+        if j == k:
+            if _window_flat(coeffs[: k + 1]) and float(np.dot(w, res * res)) <= floor:
+                return Expansion(params=p, coeffs=_trim(coeffs[: k + 1]))
+            k *= 2
+    return None
+
+
+def _resolved_between(e: Expansion, g, x, w, pieces: int) -> bool:
+    """True when e reproduces g at the midpoints of consecutive rung nodes.
+
+    x, w is the rung: `pieces` Gauss rules of equal size with ascending
+    nodes, one per piece. Its nodes on a piece are the roots of P_m for that
+    piece's rule, so a component P_m s(x) of g vanishes on every node, and
+    neither the window nor the node residual sees it: for
+    P_3 + 1e-3 P_514 / P_514(1) on one piece the rung plateaus at degree 3.
+    The midpoints, weighted by the mean of the two nodes' weights, see it; the
+    test is the rung's guard, ||g - e|| <= _PLATEAU_TOL ||g|| in that norm.
+    """
+    xr, wr = x.reshape(pieces, -1), w.reshape(pieces, -1)
+    xm = (0.5 * (xr[:, :-1] + xr[:, 1:])).ravel()
+    wm = (0.5 * (wr[:, :-1] + wr[:, 1:])).ravel()
+    gm = g(xm)
+    resid = gm - jacobi_weighted_sum(e.params, e.coeffs, xm)
+    return float(np.dot(wm, resid * resid)) <= _PLATEAU_TOL**2 * float(np.dot(wm, gm * gm))
+
+
 def _damped_sum(e: Expansion, rs: np.ndarray, x) -> np.ndarray:
     """Abel means sum_n r^n c(n) P_n(x), one row per r of rs, in one pass."""
     n = np.arange(e.coeffs.size)
@@ -296,9 +378,14 @@ def abel_mean(
     """Abel mean at parameter r: sum_n r^n c(n) P_n(x).
 
     route "series" sums the damped expansion, resolved to 1e-9; route "kernel"
-    integrates the Watson kernel against f in the Jacobi measure, on a
-    512-node rule (1024 above r = 0.9). The two agree within the series
-    tolerance plus quadrature error.
+    integrates the Watson kernel against f in the Jacobi measure, split at f's
+    breakpoints. Its rule has 512 nodes up to r = 0.9; above, the kernel peaks
+    with width about 1 - r, and the rule takes the next power of two at or
+    above 20 / (1 - r) nodes, at least 1024 and at most 4096 (1024 up to
+    r = 0.98, 2048 at 0.99, 4096 from 0.994). 4096 covers 20 / (1 - r) up to
+    r = 0.995, where the series kernel's budget raises ConvergenceError (the
+    series cliff), so no larger rule could be used. The two routes agree
+    within the series tolerance plus quadrature error.
     """
     r = ab.r
     if route == "series":
@@ -307,7 +394,8 @@ def abel_mean(
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    ynodes, yweights = m.quadrature_rule(1024 if r > 0.9 else 512, getattr(f, "breakpoints", ()))
+    nodes = 512 if r <= 0.9 else min(4096, max(1024, 1 << math.ceil(math.log2(20.0 / (1.0 - r)))))
+    ynodes, yweights = m.quadrature_rule(nodes, getattr(f, "breakpoints", ()))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=_MEAN_TOL * 1e-3)
     vals = mat @ (yweights * f(ynodes))

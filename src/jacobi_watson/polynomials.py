@@ -83,21 +83,17 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
     from `_recurrence_steps`. On several points each step runs as six ufunc
     calls into one of three rotating buffers, so a yielded row is valid only
     until the next-but-one step overwrites it: consume or copy it before
-    then. On one point the same steps run on Python floats, whose arithmetic
-    is the same IEEE double arithmetic without the per-call overhead, and the
-    rows are views of one column: bitwise the rows the array steps give.
+    then. On one point the same steps run on Python floats
+    (`_float_column`), whose arithmetic is the same IEEE double arithmetic
+    without the per-call overhead, and the rows are views of one column:
+    bitwise the rows the array steps give.
     """
+    if x.size == 1:
+        yield from _float_column(p, n_max, x).reshape((-1,) + x.shape)
+        return
     a, b = p.alpha, p.beta
     cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     steps = _recurrence_steps(a, b, n_max)
-    if x.size == 1:
-        t, prev, cur = x.item(), 1.0, cur.item()
-        col = [prev, cur]
-        for c0, c1, c2, c3 in steps:
-            prev, cur = cur, ((t * c2 + c1) * cur - prev * c3) / c0
-            col.append(cur)
-        yield from np.array(col if n_max >= 1 else col[:1]).reshape((-1,) + x.shape)
-        return
     prev = np.ones_like(x)
     yield prev
     if n_max < 1:
@@ -113,6 +109,22 @@ def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
         np.divide(nxt, c0, out=nxt)
         prev, cur, nxt = cur, nxt, prev
         yield cur
+
+
+def _float_column(p: JacobiParams, n_max: int, x: np.ndarray) -> np.ndarray:
+    """P_0(t), ..., P_{n_max}(t) at the one point t of x, as a new 1-d array.
+
+    The steps of `_jacobi_rows` on Python floats: the same IEEE double
+    arithmetic in the same order, so bitwise the array rows.
+    """
+    a, b = p.alpha, p.beta
+    t = x.item()
+    prev, cur = 1.0, (0.5 * (a - b) + 0.5 * (a + b + 2.0) * x).item()
+    col = [prev, cur]
+    for c0, c1, c2, c3 in _recurrence_steps(a, b, n_max):
+        prev, cur = cur, ((t * c2 + c1) * cur - prev * c3) / c0
+        col.append(cur)
+    return np.array(col if n_max >= 1 else col[:1])
 
 
 # degrees whose recurrence coefficients `_recurrence_steps` forms at once
@@ -174,6 +186,8 @@ def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise DomainError(f"need n_max >= 0, got {n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size == 1:
+        return _float_column(p, n_max, x)[:, None]
     out = np.empty((n_max + 1, x.size), dtype=float)
     for n, row in enumerate(_jacobi_rows(p, n_max, x)):
         out[n] = row
