@@ -671,26 +671,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="jacobi-watson",
         description="verification suites and grids for weighted expansion summability",
     )
+    # the options every command shares, declared once: each add_argument call
+    # builds a HelpFormatter, which asks for the terminal size
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with defaults")
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--beta", type=float)
+    common.add_argument("--r", dest="r_grid", metavar="R", type=_float_list,
+                        help="comma list of r values in (0,1)")
+    common.add_argument("--x-points", type=int)
+    common.add_argument("--y", dest="y_point", metavar="Y", type=float,
+                        help="second kernel argument")
+    common.add_argument("--lambda", dest="lam_grid", metavar="LAM", type=_float_list,
+                        help="comma list of levels")
+    common.add_argument("--measure", help="lebesgue[:a,b] | jacobi:a,b | power:e[:l,r]")
+    common.add_argument("--f", dest="f_name", metavar="F", help="test function name")
+    common.add_argument("--tol", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--refine", type=int)
+    common.add_argument("--out")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    common.add_argument("--timing", action="store_true", default=None)
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in (*SUITES, "report-all"):
-        sp = sub.add_parser(cmd)
-        sp.add_argument("--config", help="JSON file with defaults")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--r", dest="r_grid", metavar="R", type=_float_list,
-                        help="comma list of r values in (0,1)")
-        sp.add_argument("--x-points", type=int)
-        sp.add_argument("--y", dest="y_point", metavar="Y", type=float, help="second kernel argument")
-        sp.add_argument("--lambda", dest="lam_grid", metavar="LAM", type=_float_list,
-                        help="comma list of levels")
-        sp.add_argument("--measure", help="lebesgue[:a,b] | jacobi:a,b | power:e[:l,r]")
-        sp.add_argument("--f", dest="f_name", metavar="F", help="test function name")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--refine", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        sp.add_argument("--timing", action="store_true", default=None)
+        sp = sub.add_parser(cmd, parents=[common])
         if cmd in SUITES:
             sp.add_argument("--suite", choices=SUITES[cmd])
     return ap

@@ -3,12 +3,14 @@
 The polynomials P_n are normalized so that P_n(1) = C(n+alpha, n). Everything
 downstream (kernels, expansions, maximal functions) is built on the evaluation
 table produced here and on the quadrature rules. The three-term recurrence
-lives only in `_jacobi_rows` and the norm ratio h_{n+1}/h_n only in
-`_norm_ratio`; every other module calls them. `_jacobi_blocks` is a view over
-the one recurrence that stacks its rows into blocks of degrees, so weighted
-sums run as one matrix product per block instead of one axpy per degree. On
-a single point the recurrence runs its steps on Python floats, bitwise the
-array steps, so its cost is the arithmetic rather than per-call overhead.
+lives only in `_jacobi_blocks` and the norm ratio h_{n+1}/h_n only in
+`_norm_ratio`; every other module calls them. `_jacobi_blocks` writes its
+rows in place into blocks of degrees, each step the divide-free
+P_n = (A_n x + B_n) P_(n-1) - C_n P_(n-2), so weighted sums run as one matrix
+product per block instead of one axpy per degree; `_jacobi_rows` is a view
+that yields the blocks' rows. On a single point the recurrence runs its steps
+on Python floats, bitwise the array steps, so its cost is the arithmetic
+rather than per-call overhead.
 """
 
 from __future__ import annotations
@@ -71,59 +73,29 @@ def binomial_real(top: float, n: int) -> float:
 
 
 def _jacobi_rows(p: JacobiParams, n_max: int, x: np.ndarray):
-    """Yield P_0(x), P_1(x), ..., P_{n_max}(x) by the three-term recurrence.
-
-    This is the library's one copy of the recurrence: tables, single
-    evaluations, weighted sums and coefficient projections all consume it.
-    The recurrence coefficients are nonzero for n >= 2 whenever
-    alpha, beta > -1; n = 1 uses the explicit linear polynomial, so the
-    alpha+beta = 0 degeneracy never divides by zero.
-
-    Every step is ((c1 + c2*x)*cur - c3*prev)/c0 in that order, with c0..c3
-    from `_recurrence_steps`. On several points each step runs as six ufunc
-    calls into one of three rotating buffers, so a yielded row is valid only
-    until the next-but-one step overwrites it: consume or copy it before
-    then. On one point the same steps run on Python floats
-    (`_float_column`), whose arithmetic is the same IEEE double arithmetic
-    without the per-call overhead, and the rows are views of one column:
-    bitwise the rows the array steps give.
+    """Yield P_0(x), ..., P_{n_max}(x), each shaped like x: the rows of
+    `_jacobi_blocks`, whose one recurrence every consumer shares. A row lives
+    in the block buffer, valid only until the next block is produced.
     """
-    if x.size == 1:
-        yield from _float_column(p, n_max, x).reshape((-1,) + x.shape)
-        return
-    a, b = p.alpha, p.beta
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    steps = _recurrence_steps(a, b, n_max)
-    prev = np.ones_like(x)
-    yield prev
-    if n_max < 1:
-        return
-    yield cur
-    nxt = np.empty_like(cur)
-    for c0, c1, c2, c3 in steps:
-        np.multiply(x, c2, out=nxt)
-        np.add(nxt, c1, out=nxt)
-        np.multiply(nxt, cur, out=nxt)
-        np.multiply(prev, c3, out=prev)
-        np.subtract(nxt, prev, out=nxt)
-        np.divide(nxt, c0, out=nxt)
-        prev, cur, nxt = cur, nxt, prev
-        yield cur
+    for _, block in _jacobi_blocks(p, n_max, x.reshape(-1)):
+        yield from block.reshape((-1,) + x.shape)
 
 
 def _float_column(p: JacobiParams, n_max: int, x: np.ndarray) -> np.ndarray:
     """P_0(t), ..., P_{n_max}(t) at the one point t of x, as a new 1-d array.
 
-    The steps of `_jacobi_rows` on Python floats: the same IEEE double
+    The steps of `_jacobi_blocks` on Python floats: the same IEEE double
     arithmetic in the same order, so bitwise the array rows.
     """
     a, b = p.alpha, p.beta
     t = x.item()
-    prev, cur = 1.0, (0.5 * (a - b) + 0.5 * (a + b + 2.0) * x).item()
+    prev, cur = 1.0, t * (0.5 * (a + b + 2.0)) + 0.5 * (a - b)
     col = [prev, cur]
-    for c0, c1, c2, c3 in _recurrence_steps(a, b, n_max):
-        prev, cur = cur, ((t * c2 + c1) * cur - prev * c3) / c0
-        col.append(cur)
+    for lo in range(2, n_max + 1, _STEP_CHUNK):
+        steps = _recurrence_steps(a, b, lo, min(lo + _STEP_CHUNK, n_max + 1))
+        for an, bn, cn in zip(*(v.tolist() for v in steps)):
+            prev, cur = cur, (t * an + bn) * cur - cn * prev
+            col.append(cur)
     return np.array(col if n_max >= 1 else col[:1])
 
 
@@ -131,21 +103,19 @@ def _float_column(p: JacobiParams, n_max: int, x: np.ndarray) -> np.ndarray:
 _STEP_CHUNK = 4096
 
 
-def _recurrence_steps(a: float, b: float, n_max: int):
-    """Yield (c0, c1, c2, c3) of the steps to degrees n = 2..n_max.
-
-    One array expression per coefficient, evaluated over chunks of degrees
-    and handed out as Python floats: elementwise, so each value is bitwise
-    the scalar expression at its degree, while memory stays bounded.
+def _recurrence_steps(a: float, b: float, lo: int, hi: int):
+    """(A, B, C) at the degrees n = lo..hi-1 of the step
+    P_n = (A_n x + B_n) P_(n-1) - C_n P_(n-2): c2/c0, c1/c0 and c3/c0 of the
+    classical c0..c3, as array expressions, so each value is bitwise the scalar
+    expression at its degree. Degrees 0 and 1 are not steps; they take the
+    values of degree 2, where c0 is nonzero as for every n >= 2.
     """
-    for lo in range(2, n_max + 1, _STEP_CHUNK):
-        n = np.arange(lo, min(lo + _STEP_CHUNK, n_max + 1), dtype=float)
-        yield from zip(
-            (2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)).tolist(),
-            ((2.0 * n + a + b - 1.0) * (a * a - b * b)).tolist(),
-            ((2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)).tolist(),
-            (2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)).tolist(),
-        )
+    n = np.maximum(np.arange(lo, hi, dtype=float), 2.0)
+    c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
+    c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
+    c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
+    c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+    return c2 / c0, c1 / c0, c3 / c0
 
 
 # a block of `_jacobi_blocks` holds at most this many rows and this many floats
@@ -161,21 +131,52 @@ _FULL_BLOCK_POINTS = _BLOCK_FLOATS // _BLOCK_ROWS
 def _jacobi_blocks(p: JacobiParams, n_max: int, x: np.ndarray):
     """Yield (s, block) with block[i] = P_(s+i)(x), covering n = 0..n_max.
 
-    The rows of `_jacobi_rows`, stacked B = max(1, min(64, 2^17 // x.size)) at
-    a time into one reused buffer; the last block may be shorter. A yielded
-    block is valid only until the next one is produced.
+    The library's one array recurrence: B = max(1, min(64, 2^17 // x.size))
+    rows at a time, written in place into one reused buffer as
+    P_n = (A_n x + B_n) P_(n-1) - C_n P_(n-2) (`_recurrence_steps`), with P_1
+    the explicit linear polynomial. A yielded block, the last maybe shorter, is
+    valid only until the next one is produced. Below _FULL_BLOCK_POINTS points
+    one broadcast per block forms the (A_n x + B_n) rows and a step takes 3
+    ufunc calls; in a full 1 MiB block each row forms its own while in cache,
+    in 5. One point runs the same steps on Python floats (`_float_column`).
     """
     size = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // max(x.size, 1)))
-    buf = np.empty((size, x.size))
-    k = 0
-    for n, row in enumerate(_jacobi_rows(p, n_max, x)):
-        buf[k] = row
-        k += 1
-        if k == size:
-            yield n + 1 - size, buf
-            k = 0
-    if k:
-        yield n_max + 1 - k, buf[:k]
+    if x.size == 1:
+        col = _float_column(p, n_max, x)[:, None]
+        for s in range(0, n_max + 1, size):
+            yield s, col[s : s + size]
+        return
+    a, b = p.alpha, p.beta
+    # rows 0 and 1 hold the two rows before the block, rows 2.. the block
+    buf = np.empty((size + 2, x.size))
+    rows, tmp = list(buf), np.empty_like(x)
+    whole = x.size < _FULL_BLOCK_POINTS
+    chunk = size * max(1, _STEP_CHUNK // size)
+    for s in range(0, n_max + 1, size):
+        k = min(size, n_max + 1 - s)
+        j = s % chunk
+        if j == 0:
+            steps = _recurrence_steps(a, b, s, min(s + chunk, n_max + 1))
+            fa, fb, fc = (v.tolist() for v in steps)
+        block = buf[2 : 2 + k]
+        if whole:
+            np.multiply(steps[0][j : j + k, None], x, out=block)
+            np.add(block, steps[1][j : j + k, None], out=block)
+        if s == 0:
+            block[0] = 1.0
+        if s <= 1 < s + k:
+            np.multiply(x, 0.5 * (a + b + 2.0), out=block[1 - s])
+            np.add(block[1 - s], 0.5 * (a - b), out=block[1 - s])
+        for i in range(max(0, 2 - s), k):
+            row = rows[i + 2]
+            if not whole:
+                np.multiply(x, fa[j + i], out=row)
+                np.add(row, fb[j + i], out=row)
+            np.multiply(row, rows[i + 1], out=row)
+            np.multiply(rows[i], fc[j + i], out=tmp)
+            np.subtract(row, tmp, out=row)
+        yield s, block
+        buf[:2] = buf[k : k + 2]
 
 
 def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
@@ -186,11 +187,9 @@ def jacobi_eval_table(p: JacobiParams, n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise DomainError(f"need n_max >= 0, got {n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 1:
-        return _float_column(p, n_max, x)[:, None]
     out = np.empty((n_max + 1, x.size), dtype=float)
-    for n, row in enumerate(_jacobi_rows(p, n_max, x)):
-        out[n] = row
+    for s, block in _jacobi_blocks(p, n_max, x):
+        out[s : s + block.shape[0]] = block
     return out
 
 
@@ -202,7 +201,7 @@ def jacobi_eval(p: JacobiParams, n: int, x):
     scalar = arr.ndim == 0
     for cur in _jacobi_rows(p, n, np.atleast_1d(arr)):
         pass
-    return float(cur[0]) if scalar else cur
+    return float(cur[0]) if scalar else cur.copy()
 
 
 def jacobi_weighted_sum(p: JacobiParams, weights, x) -> np.ndarray:

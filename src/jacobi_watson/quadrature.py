@@ -58,6 +58,10 @@ _FIXED_BITS = 256
 _NEWTON_STEPS = 10
 # B_0..B_9, for the Stirling series of log-gamma ratios
 _BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0, 0.0)
+# comb(m, j) B_j for j <= m < 10: the coefficients of the Bernoulli polynomial B_m
+_BERNOULLI_POLY = tuple(
+    tuple(math.comb(m, j) * _BERNOULLI[j] for j in range(m + 1)) for m in range(len(_BERNOULLI))
+)
 
 
 def _gauss_jacobi_nodes(n: int, alpha: float, beta: float):
@@ -282,7 +286,7 @@ def _gamma_ratio(z: float, ups, downs) -> float:
 
 
 def _bernoulli_poly(m: int, x: float) -> float:
-    return sum(math.comb(m, j) * _BERNOULLI[j] * x ** (m - j) for j in range(m + 1))
+    return sum(c * x ** (m - j) for j, c in enumerate(_BERNOULLI_POLY[m]))
 
 
 @lru_cache(maxsize=256)

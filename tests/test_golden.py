@@ -67,17 +67,19 @@ def test_close_is_relative():
 
 
 def _moved(case: str, doc: dict) -> list:
-    """(case, name, old, new) for each record whose value differs from the
-    committed golden, in record order; [] when there is no golden yet."""
+    """(case, name, field, old, new) for each record field, the value or one
+    of EXACT, that differs from the committed golden, in record order; [] when
+    there is no golden yet."""
     path = GOLDEN / f"{case}.json"
     if not path.exists():
         return []
     old = json.loads(path.read_text())["report"]["records"]
     new = doc["report"]["records"]
     return [
-        (case, n["name"], o["value"], n["value"])
+        (case, n["name"], key, o[key], n[key])
         for o, n in zip(old, new)
-        if o["value"] != n["value"]
+        for key in ("value", *EXACT)
+        if o[key] != n[key]
     ]
 
 

@@ -20,7 +20,12 @@ from jacobi_watson import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from jacobi_watson.polynomials import _jacobi_blocks, _jacobi_rows, _norm_ratio
+from jacobi_watson.polynomials import (
+    _FULL_BLOCK_POINTS,
+    _jacobi_blocks,
+    _jacobi_rows,
+    _norm_ratio,
+)
 from jacobi_watson.quadrature import interval_rule
 from jacobi_watson.errors import SingularEvaluationError
 
@@ -40,7 +45,7 @@ def test_recurrence_matches_reference_evaluator(a, b):
 
 @pytest.mark.parametrize("a,b", BOXES + [(0.9, -0.9)])
 def test_buffered_recurrence_is_bitwise_the_allocating_one(a, b):
-    """The rotating-buffer rows equal the plain form's, step for step."""
+    """The in-place block rows equal the plain divide-free form's, step for step."""
     p = JacobiParams(a, b)
     x = np.cos(np.linspace(0.0, math.pi, 257))
     prev, cur = np.ones_like(x), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
@@ -50,7 +55,7 @@ def test_buffered_recurrence_is_bitwise_the_allocating_one(a, b):
         c1 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c2 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        prev, cur = cur, ((c1 + c2 * x) * cur - c3 * prev) / c0
+        prev, cur = cur, (x * (c2 / c0) + c1 / c0) * cur - (c3 / c0) * prev
         want.append(cur)
     assert jacobi_eval_table(p, 300, x).tobytes() == np.array(want).tobytes()
     assert jacobi_eval(p, 300, x).tobytes() == want[-1].tobytes()
@@ -142,6 +147,17 @@ def test_blocks_are_the_table_rows(size):
             assert block.tobytes() == table[s : s + block.shape[0]].tobytes()
             seen += block.shape[0]
         assert seen == n_max + 1
+
+
+@pytest.mark.parametrize("a,b", [(0.5, -0.3), (-0.9, 0.3), (1.7, 1.2)])
+def test_row_wise_steps_are_the_broadcast_steps(a, b):
+    # below _FULL_BLOCK_POINTS points one broadcast per block forms the
+    # (A_n x + B_n) rows; from there on each row forms its own: the same bits
+    p = JacobiParams(a, b)
+    few = np.array([0.3, -0.7, 1.0 - 6e-5, -1.0])
+    many = np.concatenate([few, np.cos(np.linspace(0.0, math.pi, _FULL_BLOCK_POINTS))])
+    got = jacobi_eval_table(p, 5000, many)[:, : few.size]
+    assert got.tobytes() == jacobi_eval_table(p, 5000, few).tobytes()
 
 
 @pytest.mark.parametrize("a,b", BOXES + [(0.9, -0.9), (-0.5, 0.5)])

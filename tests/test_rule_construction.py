@@ -1,10 +1,12 @@
 """The O(n) Gauss-Jacobi construction at its reduced cost: the truncated Hahn
 expansion against the 20-term one, the one-pass boundary series against two
-separate exact series, moments from the size floor up, and the pk:3 check the
-construction now serves at (0.9, -0.9)."""
+separate exact series, moments from the size floor up, the tabled Stirling
+coefficients against the direct form, and the pk:3 check the construction now
+serves at (0.9, -0.9)."""
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -16,7 +18,9 @@ from jacobi_watson.polynomials import JacobiParams, jacobi_eval_table, jacobi_no
 from jacobi_watson.quadrature import (
     _ASY_MIN_NODES,
     _BOUNDARY_NODES,
+    _BERNOULLI,
     _ExactSeries,
+    _gamma_ratio,
     _gauss_jacobi_nodes,
     _initial_angles,
     _interior_nodes,
@@ -117,3 +121,48 @@ def test_pk3_single_term_check_at_asymmetric_exponents(tmp_path):
     record = records["single-term r=0.9"]
     assert record["hard"] and record["passed"]
     assert record["value"] <= 1e-14
+
+
+def _direct_gamma_ratio(z, ups, downs):
+    """`_gamma_ratio` with comb(m, j) B_j formed inside every Bernoulli polynomial."""
+
+    def poly(m, x):
+        return sum(math.comb(m, j) * _BERNOULLI[j] * x ** (m - j) for j in range(m + 1))
+
+    out = 0.0
+    for k in range(1, len(_BERNOULLI) - 1):
+        diff = sum(poly(k + 1, u) for u in ups) - sum(poly(k + 1, d) for d in downs)
+        out += (-1) ** (k + 1) * diff / (k * (k + 1) * z**k)
+    return math.exp(out)
+
+
+STIRLING_EXPONENTS = [-0.99, -0.5, 0.0, 0.5, 1.7, 2.0]
+STIRLING_SIZES = [514, 1024, 16384, 32768]
+
+
+def test_tabled_stirling_series_is_the_direct_form():
+    # the shifts _interior_nodes and _boundary_nodes pass; each half of a rule
+    # is the x > 0 half for (a, b) or for (b, a), and the grid holds both orders
+    for a, b in itertools.product(STIRLING_EXPONENTS, STIRLING_EXPONENTS):
+        m = 0.5 * (a + b)
+        shifts = [
+            ((m + 1.0, m + 1.0, m + 1.5, m + 1.5), (a + b + 2.0, 1.0, a + 1.0, b + 1.0)),
+            ((b + 1.0, 0.0), (a + b + 1.0, a + 1.0)),
+        ]
+        for z, (ups, downs) in itertools.product(STIRLING_SIZES, shifts):
+            assert _gamma_ratio(z, ups, downs) == _direct_gamma_ratio(z, ups, downs), (a, b, z)
+
+
+@pytest.mark.parametrize("n", STIRLING_SIZES)
+def test_tabled_stirling_series_keeps_the_rule_bytes(n, monkeypatch):
+    # every pair on the two smaller sizes; the symmetric pairs and the grid
+    # against its reverse on the larger ones
+    pairs = list(itertools.product(STIRLING_EXPONENTS, STIRLING_EXPONENTS))
+    if n > 1024:
+        pairs = [(e, e) for e in STIRLING_EXPONENTS]
+        pairs += list(zip(STIRLING_EXPONENTS, reversed(STIRLING_EXPONENTS)))
+    got = {ab: _gauss_jacobi_nodes(n, *ab) for ab in pairs}
+    monkeypatch.setattr(quadrature, "_gamma_ratio", _direct_gamma_ratio)
+    for ab, (x, w) in got.items():
+        xd, wd = _gauss_jacobi_nodes(n, *ab)
+        assert x.tobytes() == xd.tobytes() and w.tobytes() == wd.tobytes(), ab
