@@ -24,7 +24,7 @@ from .polynomials import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from .quadrature import composite_rule, graded_breakpoints, graded_grid, piece_edges
+from .quadrature import graded_breakpoints, graded_grid, piece_edges
 from .quadrature import _ASY_MIN_NODES, _gauss_jacobi_raw
 
 __all__ = [
@@ -418,11 +418,12 @@ def modified_abel_mean(
     hw = (1-y)^(a/2) (1+y)^(b/2): the shared adaptive expansion, projected on
     a Gauss-Jacobi rule that absorbs hw and whose size follows r. The
     reference route "lebesgue" integrates the full modified-kernel integrand
-    (the Watson series) on Gauss-Legendre cells graded toward +-1 and toward
-    x, where the kernel peaks with width about 1 - r; `order` sizes its cells.
-    The two routes share no nodes or weight machinery. f_exponents = (at -1,
-    at +1) declares endpoint exponents carried by f itself; the halfweight
-    rule then absorbs them too, keeping eigenfunction integrands polynomial.
+    (the Watson series) on the Lebesgue measure's Gauss-Legendre cells
+    (`WeightedMeasure.cell_rules`), graded toward +-1 and toward x, where the
+    kernel peaks with width about 1 - r; `order` sizes its cells. The two
+    routes share no nodes or weights. f_exponents = (at -1, at +1) declares
+    endpoint exponents carried by f itself; the halfweight rule then absorbs
+    them too, keeping eigenfunction integrands polynomial.
     """
     r = ab.r
     el, er = f_exponents
@@ -442,7 +443,8 @@ def modified_abel_mean(
         if hi > lo:
             scale = 1e-3 * (1.0 - r) / (hi - lo)
             grid.append(graded_breakpoints(lo, hi, lean_left=lean_left, min_scale=scale))
-    ynodes, yweights = composite_rule(np.unique(np.concatenate(grid)), max(12, order // 8))
+    edges = np.unique(np.concatenate(grid))
+    ynodes, yweights = WeightedMeasure.lebesgue(-1.0, 1.0).cell_rules(edges, max(12, order // 8))
     inside = np.abs(ynodes) < 1.0
     ynodes, yweights = ynodes[inside], yweights[inside]
     row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)

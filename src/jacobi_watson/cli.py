@@ -38,7 +38,7 @@ from .kernels import (
     watson_series_matrix,
 )
 from .measure import WeightedMeasure
-from .polynomials import JacobiParams, jacobi_eval, jacobi_weighted_sum
+from .polynomials import JacobiParams, jacobi_eval
 from .reporting import Report, grid_csv
 
 _NUMERIC_ERRORS = (
@@ -267,15 +267,20 @@ def _abel_mean(cfg: RunConfig, rep: Report) -> None:
             )
 
 
-def _abel_maximal(cfg: RunConfig, rep: Report) -> None:
+def _maximal_pair(cfg: RunConfig, coarse: int, fine: int):
+    """x grid and `jacobi_maximal` over default_r_grid(coarse) and (fine).
+
+    One expansion, resolved at the fine grid's top radius, serves both grids.
+    """
     p, f, xs = _abel_inputs(cfg)
-    coarse = abel.default_r_grid(10)
-    fine = abel.default_r_grid(12)
-    # at jacobi_maximal's tol both grids' top radii ask for more than the
-    # 16384-term cap, so one expansion serves both
-    e = abel._as_expansion(f, p, float(fine.max()), 1e-8)
-    va = np.asarray(abel.jacobi_maximal(e, p, xs, coarse))
-    vb = np.asarray(abel.jacobi_maximal(e, p, xs, fine))
+    e = abel._as_expansion(f, p, 1.0 - 2.0**-fine, 1e-8)
+    va, vb = (np.asarray(abel.jacobi_maximal(e, p, xs, abel.default_r_grid(n)))
+              for n in (coarse, fine))
+    return xs, va, vb
+
+
+def _abel_maximal(cfg: RunConfig, rep: Report) -> None:
+    _, va, vb = _maximal_pair(cfg, 10, 12)
     mono = bool(np.all(vb >= va - 1e-12))
     rep.add(
         "refinement-monotone",
@@ -304,25 +309,23 @@ def _abel_lp(cfg: RunConfig, rep: Report) -> None:
 
 
 def _grid_abel(cfg: RunConfig):
-    p, f, xs = _abel_inputs(cfg)
     if SUITES["abel"][cfg.suite] is _abel_maximal:
         n_r = 8 * cfg.refine
-        vals = np.asarray(abel.jacobi_maximal(f, p, xs, abel.default_r_grid(n_r)))
-        prev = np.asarray(abel.jacobi_maximal(f, p, xs, abel.default_r_grid(max(2, n_r - 2))))
+        xs, prev, vals = _maximal_pair(cfg, max(2, n_r - 2), n_r)
         r_top = 1.0 - 2.0**-n_r
         return [
             (x, r_top, v, f"maximal:{n_r}", abs(v - q))
             for x, v, q in zip(xs, vals, prev)
         ]
-    deg = 48
-    coeffs = abel.fourier_jacobi_coefficients(f, p, deg).coeffs
+    # the mean suite's numbers: the series route, and its gap to the kernel
+    # route, which raises ConvergenceError on the series cliff from r = 0.995
+    p, f, xs = _abel_inputs(cfg)
     rows = []
-    n = np.arange(coeffs.size)
     for r in cfg.r_grid:
-        full = jacobi_weighted_sum(p, coeffs * r**n, xs)
-        half = jacobi_weighted_sum(p, (coeffs * r**n)[: deg // 2], xs)
-        for x, v, h in zip(xs, full, half):
-            rows.append((x, r, v, "series", abs(v - h)))
+        ab = AbelParameter(r)
+        vals = abel.abel_mean(f, p, ab, xs)
+        gap = np.abs(abel.abel_mean(f, p, ab, xs, route="kernel") - vals)
+        rows.extend((x, r, v, "series", g) for x, v, g in zip(xs, vals, gap))
     return rows
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .measure import WeightedMeasure, equal_measure_split, interval_mass
+from .measure import WeightedMeasure, _power_product, equal_measure_split, interval_mass
 from .quadrature import graded_breakpoints, graded_grid, piece_edges
 
 __all__ = [
@@ -514,11 +514,7 @@ class PowerWeight:
         )
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for c, e in self.factors:
-            out = out * np.abs(x - c) ** e
-        return out
+        return _power_product(self.factors, x)
 
     def scaled(self, s: float) -> "PowerWeight":
         return PowerWeight(tuple((c, e * s) for c, e in self.factors))

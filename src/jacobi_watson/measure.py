@@ -58,6 +58,16 @@ def _jacobi_mass(alpha: float, beta: float, l, r):
     return scale * (special.betainc(p, q, hi) - below)
 
 
+def _power_product(factors, x):
+    """prod |x - c|^e over the (c, e) pairs of factors, multiplied in their
+    order onto ones: the density of a measure and the value of a weight."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    for c, e in factors:
+        out = out * np.abs(x - c) ** e
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedMeasure:
     """Measure rho(x) dx on [support[0], support[1]].
@@ -138,11 +148,7 @@ class WeightedMeasure:
         return self.params
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for c, e in self._factors():
-            out = out * np.abs(x - c) ** e
-        return out
+        return _power_product(self._factors(), x)
 
     # ---- cdf and interval mass -----------------------------------------
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, RegimeError, SingularEvaluationError
-from .quadrature import _gauss_jacobi_nodes
+from .quadrature import _gauss_jacobi_raw
 
 __all__ = [
     "JacobiParams",
@@ -56,11 +55,6 @@ class JacobiParams:
     def q(self) -> float:
         """max(alpha, beta), the exponent controlling sup-norm growth of P_n."""
         return max(self.alpha, self.beta)
-
-    def weight(self, x):
-        """Density (1-x)^alpha (1+x)^beta of the measure J(dx)."""
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta
 
 
 def binomial_real(top: float, n: int) -> float:
@@ -347,12 +341,9 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
-@lru_cache(maxsize=128)
 def _roots_jacobi_cached(order: int, alpha: float, beta: float):
-    nodes, weights = _gauss_jacobi_nodes(order, alpha, beta)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    # quadrature's cached rule, held once; perfbench's tracer wraps this name
+    return _gauss_jacobi_raw(order, alpha, beta)
 
 
 def gauss_jacobi_rule(p: JacobiParams, order: int) -> QuadratureRule:

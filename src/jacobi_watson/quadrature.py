@@ -23,7 +23,6 @@ __all__ = [
     "graded_breakpoints",
     "graded_grid",
     "piece_edges",
-    "composite_rule",
     "sqrt_left_rule",
 ]
 
@@ -299,6 +298,7 @@ def gauss_legendre(n: int):
 
 @lru_cache(maxsize=512)
 def _gauss_jacobi_raw(n: int, alpha: float, beta: float):
+    """The library's one Gauss-Jacobi rule cache, read-only arrays."""
     if alpha == 0.0 and beta == 0.0:
         # the Legendre case shares gauss_legendre's cache, so one copy of each
         # Legendre rule stays alive; both build through _gauss_jacobi_nodes
@@ -371,21 +371,6 @@ def piece_edges(l: float, r: float, breakpoints) -> list:
     """Edges of the smooth pieces of [l, r]: l, the breakpoints strictly
     inside in ascending order, then r."""
     return [l] + sorted(b for b in breakpoints if l < b < r) + [r]
-
-
-def composite_rule(breakpoints, n: int, e_left: float = 0.0):
-    """Composite rule over consecutive cells; the left endpoint exponent
-    applies to the first cell only (the other cells are plain Gauss)."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.size < 2:
-        raise DegenerateInputError("need at least two breakpoints")
-    nodes, weights = [], []
-    for i in range(bp.size - 1):
-        el = e_left if i == 0 else 0.0
-        t, w = interval_rule(bp[i], bp[i + 1], n, el)
-        nodes.append(t)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def sqrt_left_rule(k: float, upper: float, layer: float, n_per_cell: int = 16,

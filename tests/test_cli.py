@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from jacobi_watson import AbelParameter, JacobiParams, jacobi_eval
+from jacobi_watson import (
+    AbelParameter,
+    JacobiParams,
+    abel_mean,
+    jacobi_eval,
+)
+from jacobi_watson import test_function_family as function_family
 from jacobi_watson.cli import main
 from jacobi_watson.reporting import (
     CSV_HEADER,
@@ -199,6 +205,36 @@ class TestGridEmission:
             worst = max(worst, abs(v - r**3 * jacobi_eval(p, 3, x)))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("tag", ["sign", "clipped", "pk:3"])
+    def test_abel_grid_holds_the_mean_suites_numbers(self, tag, tmp_path):
+        # each row is abel_mean's series value on the mean suite's x grid, and
+        # its error column the gap to the kernel route at that x
+        out = tmp_path / "g.csv"
+        assert main(["abel", "--format", "csv", "--f", tag, "--r", "0.5,0.9",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        p = JacobiParams(0.0, 0.0)
+        f = next(tf for tf in function_family(p) if tf.tag == tag)
+        xs = np.linspace(-1.0, 1.0, 25)
+        for i, r in enumerate((0.5, 0.9)):
+            got = rows[25 * i : 25 * (i + 1)]
+            ab = AbelParameter(r)
+            series = abel_mean(f, p, ab, xs)
+            gap = np.abs(abel_mean(f, p, ab, xs, route="kernel") - series)
+            assert [float(row[0]) for row in got] == xs.tolist()
+            assert all(float(row[1]) == r for row in got)
+            assert [float(row[2]) for row in got] == series.tolist()
+            assert [float(row[4]) for row in got] == gap.tolist()
+        assert len(rows) == 50
+
+    def test_abel_grid_past_the_series_cliff_fails(self, tmp_path, capsys):
+        # the kernel route behind the error column has no budget at r = 0.999
+        out = tmp_path / "g.csv"
+        code = main(["abel", "--format", "csv", "--r", "0.999", "--out", str(out)])
+        assert code == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_only_for_grid_commands(self, capsys):
         assert main(["cz", "--format", "csv"]) == 2
 
@@ -206,3 +242,12 @@ class TestGridEmission:
 def test_measure_parser_errors(capsys):
     assert main(["cz", "--measure", "banana:1,2"]) == 2
     assert main(["cz", "--measure", "jacobi:0.5"]) == 2
+
+
+@pytest.mark.parametrize("beta", [-0.99, 0.5])
+def test_mass_suite_passes_near_the_lower_exponent_limit(beta, tmp_path, capsys):
+    # below 514 nodes scipy builds the rule; its 512-node rule at
+    # (-0.99, -0.99) left the mass 1.2e-7 off at r = 0.5, against 1e-8
+    out = tmp_path / "m.json"
+    argv = ["kernel", "--suite", "mass", "--alpha", "-0.99", "--beta", str(beta)]
+    assert main([*argv, "--out", str(out)]) == 0

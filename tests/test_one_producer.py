@@ -1,0 +1,44 @@
+"""Guard: each number the CLI prints has one producer in the library.
+
+The CLI's grids print the suites' own numbers, so `cli.py` runs no projection
+or weighted sum of its own: this test parses it with `ast` and asserts that it
+calls neither `fourier_jacobi_coefficients` nor `jacobi_weighted_sum`, by any
+name or attribute. Gauss-Jacobi rules are cached once, in
+`quadrature._gauss_jacobi_raw` (which shares `gauss_legendre`'s Legendre
+rules); `polynomials._roots_jacobi_cached` only reads it.
+"""
+
+import ast
+from pathlib import Path
+
+from jacobi_watson import polynomials, quadrature
+
+CLI = Path(__file__).resolve().parents[1] / "src" / "jacobi_watson" / "cli.py"
+
+
+def _called_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                names.add(f.id)
+            elif isinstance(f, ast.Attribute):
+                names.add(f.attr)
+    return names
+
+
+def test_cli_runs_no_projection_of_its_own():
+    called = _called_names(ast.parse(CLI.read_text(), filename=str(CLI)))
+    assert "abel_mean" in called  # the scan sees the calls it should
+    assert not called & {"fourier_jacobi_coefficients", "jacobi_weighted_sum"}
+
+
+def test_one_gauss_jacobi_rule_cache():
+    assert not hasattr(polynomials._roots_jacobi_cached, "cache_info")
+    assert hasattr(quadrature._gauss_jacobi_raw, "cache_info")
+    # the same arrays, not copies: the rule is held once
+    got = polynomials._roots_jacobi_cached(600, 0.25, -0.5)
+    raw = quadrature._gauss_jacobi_raw(600, 0.25, -0.5)
+    assert got[0] is raw[0] and got[1] is raw[1]
+    assert polynomials.gauss_jacobi_rule(polynomials.JacobiParams(0.25, -0.5), 600).nodes is raw[0]
