@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import AbelParameter, watson_series_matrix
+from .kernels import AbelParameter, _kernel_cells, _kernel_edges, watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import (
     JacobiParams,
@@ -24,7 +24,7 @@ from .polynomials import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from .quadrature import graded_breakpoints, graded_grid, piece_edges
+from .quadrature import graded_grid, piece_edges
 from .quadrature import _ASY_MIN_NODES, _gauss_jacobi_raw
 
 __all__ = [
@@ -368,24 +368,13 @@ def _damped_sum(e: Expansion, rs: np.ndarray, x) -> np.ndarray:
     return jacobi_weighted_sum(e.params, rs[:, None] ** n[None, :] * e.coeffs[None, :], x)
 
 
-def abel_mean(
-    f,
-    p: JacobiParams,
-    ab: AbelParameter,
-    x,
-    route: str = "series",
-):
+def abel_mean(f, p: JacobiParams, ab: AbelParameter, x, route: str = "series"):
     """Abel mean at parameter r: sum_n r^n c(n) P_n(x).
 
     route "series" sums the damped expansion, resolved to 1e-9; route "kernel"
-    integrates the Watson kernel against f in the Jacobi measure, split at f's
-    breakpoints. Its rule has 512 nodes up to r = 0.9; above, the kernel peaks
-    with width about 1 - r, and the rule takes the next power of two at or
-    above 20 / (1 - r) nodes, at least 1024 and at most 4096 (1024 up to
-    r = 0.98, 2048 at 0.99, 4096 from 0.994). 4096 covers 20 / (1 - r) up to
-    r = 0.995, where the series kernel's budget raises ConvergenceError (the
-    series cliff), so no larger rule could be used. The two routes agree
-    within the series tolerance plus quadrature error.
+    integrates the Watson kernel against f in the Jacobi measure, on the
+    kernel cells at the xs and f's breakpoints (`kernels._kernel_cells`). The
+    two routes agree within the series tolerance plus quadrature error.
     """
     r = ab.r
     if route == "series":
@@ -393,10 +382,8 @@ def abel_mean(
         return float(vals[0]) if np.ndim(x) == 0 else vals
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    nodes = 512 if r <= 0.9 else min(4096, max(1024, 1 << math.ceil(math.log2(20.0 / (1.0 - r)))))
-    ynodes, yweights = m.quadrature_rule(nodes, getattr(f, "breakpoints", ()))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ynodes, yweights = _kernel_cells(p, ab, xs, getattr(f, "breakpoints", ()))
     mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=_MEAN_TOL * 1e-3)
     vals = mat @ (yweights * f(ynodes))
     return float(vals[0]) if np.ndim(x) == 0 else vals
@@ -419,11 +406,13 @@ def modified_abel_mean(
     a Gauss-Jacobi rule that absorbs hw and whose size follows r. The
     reference route "lebesgue" integrates the full modified-kernel integrand
     (the Watson series) on the Lebesgue measure's Gauss-Legendre cells
-    (`WeightedMeasure.cell_rules`), graded toward +-1 and toward x, where the
-    kernel peaks with width about 1 - r; `order` sizes its cells. The two
-    routes share no nodes or weights. f_exponents = (at -1, at +1) declares
-    endpoint exponents carried by f itself; the halfweight rule then absorbs
-    them too, keeping eigenfunction integrands polynomial.
+    (`WeightedMeasure.cell_rules`): the kernel cells' edges at x and f's
+    breakpoints (`kernels._kernel_edges`), with cells graded toward +-1 down
+    to 1e-12, since Lebesgue cells do not absorb the endpoint powers;
+    `order` sizes its cells. The two routes share no nodes or weights.
+    f_exponents = (at -1, at +1) declares endpoint exponents carried by f
+    itself; the halfweight rule then absorbs them too, keeping eigenfunction
+    integrands polynomial.
     """
     r = ab.r
     el, er = f_exponents
@@ -437,16 +426,10 @@ def modified_abel_mean(
     if route != "lebesgue":
         raise DomainError(f"unknown route {route!r}")
     # the end cells carry an unabsorbed integrable singularity; their mass is
-    # ~ min_scale^(1 + e/2) ~ 1e-9 at worst. Nodes that round onto +-1 drop.
-    grid = [graded_grid(-1.0, 1.0, min_scale=1e-12)]
-    for lo, hi, lean_left in ((-1.0, x, False), (x, 1.0, True)):
-        if hi > lo:
-            scale = 1e-3 * (1.0 - r) / (hi - lo)
-            grid.append(graded_breakpoints(lo, hi, lean_left=lean_left, min_scale=scale))
-    edges = np.unique(np.concatenate(grid))
+    # ~ min_scale^(1 + e/2) ~ 1e-9 at worst
+    kernel = _kernel_edges(ab, [x], getattr(f, "breakpoints", ()))
+    edges = np.unique(np.concatenate([graded_grid(-1.0, 1.0, min_scale=1e-12), kernel]))
     ynodes, yweights = WeightedMeasure.lebesgue(-1.0, 1.0).cell_rules(edges, max(12, order // 8))
-    inside = np.abs(ynodes) < 1.0
-    ynodes, yweights = ynodes[inside], yweights[inside]
     row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
     return wx * float(np.dot(yweights, row[0] * _half_weight(p, ynodes) * f(ynodes)))
 
@@ -503,12 +486,8 @@ def lp_convergence_probe(
     e = _as_expansion(f, p, float(rs.max()), tol)
     m = WeightedMeasure.jacobi(p.alpha, p.beta)
     pieces = piece_edges(-1.0, 1.0, getattr(f, "breakpoints", ()))
-    rules = [
-        m.cell_rules(graded_grid(lo, hi, min_scale=1e-10), 10)
-        for lo, hi in zip(pieces[:-1], pieces[1:])
-    ]
-    x = np.concatenate([t for t, _ in rules])
-    w = np.concatenate([w for _, w in rules])
+    grids = [graded_grid(lo, hi, min_scale=1e-10) for lo, hi in zip(pieces[:-1], pieces[1:])]
+    x, w = m.cell_rules(np.unique(np.concatenate(grids)), 10)
     err = np.abs(_damped_sum(e, rs, x) - f(x)[None, :])
     if p_exp == math.inf:
         return [float(v) for v in err.max(axis=1)]

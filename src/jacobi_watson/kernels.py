@@ -30,12 +30,12 @@ from .polynomials import (
     _half_weight,
     _jacobi_blocks,
     _norm_ratio,
-    gauss_jacobi_rule,
     jacobi_eval_table,
     jacobi_norm,
     jacobi_norm_sequence,
 )
-from .quadrature import interval_rule, sqrt_left_rule
+from .measure import WeightedMeasure
+from .quadrature import graded_grid, interval_rule, piece_edges, sqrt_left_rule
 
 __all__ = [
     "AbelParameter",
@@ -63,6 +63,8 @@ _SERIES_MAX_TERMS = 100000
 _MATRIX_MAX_TERMS = 200000
 # anti-diagonals the F4 sum may take before it is declared stalled
 _F4_MAX_DIAGONALS = 20000
+# nodes per kernel cell, and the first cell's width in units of phi
+_CELL_NODES, _CELL_SCALE = 12, 0.05
 _growth_cache: dict = {}
 
 
@@ -100,7 +102,8 @@ class AbelParameter:
         return max(1e-5, (1.0 - self.r) * 1e-3)
 
     def phi(self, x: float) -> float:
-        """phi(x, r) = sqrt(k-1) sqrt(k-x), the localization scale at x."""
+        """phi(x, r) = sqrt(k-1) sqrt(k-x), the localization scale at x seen
+        from +1 (it shrinks to k - 1 at x = 1 only); phi(|x|) is the nearer end's."""
         if x > self.k:
             raise DomainError(f"need x <= k = {self.k}, got x = {x}")
         return math.sqrt(self.k_minus_1) * math.sqrt(self.k - x)
@@ -522,14 +525,36 @@ def modified_watson_kernel(
     return base * (_half_weight(p, x) * _half_weight(p, y))
 
 
-def kernel_mass(p: JacobiParams, ab: AbelParameter, x: float) -> float:
-    """Quadrature of K(r, x, .) against the Jacobi measure; the exact value is 1.
+def _kernel_edges(ab: AbelParameter, xs, breakpoints) -> np.ndarray:
+    """Cell edges of [-1, 1] for integrals of K(r, x, .) at each x of xs.
 
-    The rule has 1024 nodes up to r = 0.95 and 2048 above, both from the O(n)
-    construction: below 514 nodes scipy builds the rule, and its 512-node
-    rule leaves the mass 1.2e-7 off at alpha = beta = -0.99 and r = 0.5.
+    Each piece between consecutive points of -1, 1, the xs and the
+    breakpoints is graded toward both ends (`graded_grid`) from a first cell
+    _CELL_SCALE phi(|e|) wide at an end e, phi on the side of the nearer of
+    +-1, and inside (-1, 1) at most _CELL_SCALE (1 - |e|), so that the cells
+    toward a point near a singular end stay clear of it. As phi >= k - 1, a
+    piece of width w has at most 4 + 2 log2(5 w / (k - 1)) cells when no end
+    lies within k - 1 of +-1.
     """
-    r = ab.r
-    rule = gauss_jacobi_rule(p, 2048 if r > 0.95 else 1024)
-    row, _, _ = watson_series_matrix(p, r, np.array([x]), rule.nodes, tol_abs=1e-13)
-    return float(np.dot(rule.weights, row[0]))
+    ends = np.unique(piece_edges(-1.0, 1.0, [*np.ravel(xs), *breakpoints]))
+    # no distance cap at +-1 itself, whose cells absorb the endpoint powers
+    s = [_CELL_SCALE * min(ab.phi(abs(e)), (1.0 - abs(e)) or math.inf) for e in ends]
+    return np.unique(np.concatenate([
+        graded_grid(lo, hi, (s_lo / (hi - lo), s_hi / (hi - lo)))
+        for lo, hi, s_lo, s_hi in zip(ends[:-1], ends[1:], s[:-1], s[1:])
+    ]))
+
+
+def _kernel_cells(p: JacobiParams, ab: AbelParameter, xs, breakpoints):
+    """The rule for int K(r, x, y) f(y) dJ(y) at each x of xs, f smooth between
+    its breakpoints: _CELL_NODES Jacobi cell-rule nodes per `_kernel_edges` cell."""
+    m = WeightedMeasure.jacobi(p.alpha, p.beta)
+    return m.cell_rules(_kernel_edges(ab, xs, breakpoints), _CELL_NODES)
+
+
+def kernel_mass(p: JacobiParams, ab: AbelParameter, x: float) -> float:
+    """Integral of K(r, x, .) against the Jacobi measure on the kernel cells at
+    x (`_kernel_cells`); the exact value is 1."""
+    y, w = _kernel_cells(p, ab, [x], ())
+    row, _, _ = watson_series_matrix(p, ab.r, np.array([x]), y, tol_abs=1e-13)
+    return float(np.dot(w, row[0]))

@@ -205,13 +205,8 @@ class WeightedMeasure:
         a, b = self.support
         mid = 0.5 * (a + b)
         anchors = sorted({c for c, _ in self._factors() if a < c < b})
-        bp = np.concatenate(
-            [
-                graded_breakpoints(a, mid, lean_left=True),
-                graded_breakpoints(mid, b, lean_left=False)[1:],
-            ]
-        )
-        bp = np.sort(np.unique(np.concatenate([bp, np.asarray(anchors)])))
+        halves = [graded_breakpoints(a, mid), graded_breakpoints(mid, b, lean_left=False)]
+        bp = np.unique(np.concatenate([*halves, anchors]))
         # the 0.0 leads the running sum, as in a left-to-right scalar loop
         cum = np.cumsum(np.concatenate([[0.0], self._rule_masses(bp[:-1], bp[1:])]))
         table = (bp, cum)

@@ -344,27 +344,26 @@ def graded_breakpoints(
     """Breakpoints of [l, r] accumulating geometrically toward one endpoint.
 
     The first cell next to the graded endpoint has width about min_scale*(r-l);
-    widths double until they reach the uniform part.
+    widths double until they reach the uniform part l + (r - l) k / n_uniform,
+    which is the same whichever end is graded. The ends are l and r exactly.
     """
     if not (r > l):
         raise DegenerateInputError(f"need r > l, got [{l}, {r}]")
     width = r - l
-    rel = [1.0 / n_uniform * k for k in range(n_uniform + 1)]
-    pts = [1.0 / n_uniform]
-    while pts[-1] / 2.0 > min_scale:
-        pts.append(pts[-1] / 2.0)
-    rel = sorted(set(rel + pts))
-    rel = np.asarray(rel)
-    if lean_left:
-        return l + width * rel
-    return r - width * rel[::-1]
+    pts = l + width * (np.arange(n_uniform + 1) * (1.0 / n_uniform))
+    pts[-1] = r
+    fine = [0.5 / n_uniform]
+    while fine[-1] > min_scale:
+        fine.append(fine[-1] / 2.0)
+    fine = width * np.asarray(fine[:-1])
+    return np.unique(np.concatenate([pts, l + fine if lean_left else r - fine]))
 
 
-def graded_grid(l: float, r: float, min_scale: float, n_uniform: int = 4) -> np.ndarray:
-    """Sorted union of the breakpoints of [l, r] graded toward either end."""
-    left = graded_breakpoints(l, r, lean_left=True, min_scale=min_scale, n_uniform=n_uniform)
-    right = graded_breakpoints(l, r, lean_left=False, min_scale=min_scale, n_uniform=n_uniform)
-    return np.unique(np.concatenate([left, right]))
+def graded_grid(l: float, r: float, min_scale, n_uniform: int = 4) -> np.ndarray:
+    """Sorted union of the breakpoints of [l, r] graded toward either end;
+    min_scale is one relative scale for both ends, or a (left, right) pair."""
+    sides = zip((True, False), np.broadcast_to(min_scale, 2))
+    return np.unique(np.concatenate([graded_breakpoints(l, r, e, s, n_uniform) for e, s in sides]))
 
 
 def piece_edges(l: float, r: float, breakpoints) -> list:

@@ -23,9 +23,6 @@ MEASURES = {
 
 
 GRIDS = [(-1.0, 1.0, 1e-12, 4), (0.0, 1.0, 1e-10, 256), (0.25, 0.75, 1e-6, 128), (-1.0, 0.3, 1e-15, 7)]
-# graded_breakpoints computes the far end as l + (r - l), or the near end as
-# r - (r - l), which can round off the interval's end by an ulp
-OFF_BY_AN_ULP = pytest.mark.xfail(strict=True, reason="grading end rounds off l or r")
 
 
 @pytest.mark.parametrize("l, r, min_scale, n_uniform", GRIDS)
@@ -38,11 +35,7 @@ def test_graded_grid_is_the_union_of_both_gradings(l, r, min_scale, n_uniform):
     assert set(g.tolist()) == set(left.tolist()) | set(right.tolist())
 
 
-@pytest.mark.parametrize(
-    "l, r",
-    [(l, r) for l, r, _, _ in GRIDS[:3]]
-    + [pytest.param(-1.0, 0.3, marks=OFF_BY_AN_ULP), pytest.param(-1.0, 1.0 - 1e-5, marks=OFF_BY_AN_ULP)],
-)
+@pytest.mark.parametrize("l, r", [(l, r) for l, r, _, _ in GRIDS[:3]] + [(-1.0, 0.3), (-1.0, 1.0 - 1e-5)])
 def test_graded_grid_spans_exactly_its_interval(l, r):
     g = graded_grid(l, r, min_scale=1e-10)
     assert (g[0], g[-1]) == (l, r)

@@ -173,20 +173,25 @@ def test_kernel_route_follows_one_minus_r(r):
 
 @pytest.mark.parametrize("r", [0.995, 1.0 - 1e-9, 1.0 - 1e-12])
 def test_kernel_route_rule_stops_at_the_series_cliff(r, monkeypatch):
-    # from r = 0.995 the series kernel's budget raises; the rule stays at
-    # 4096 nodes, where 20 / (1 - r) would ask for up to 2^45
+    # from r = 0.995 the series kernel's budget raises; the rule built before
+    # it stays within the kernel cells' logarithmic bound of 12 nodes times
+    # 4 + 2 log2(5 w / (k - 1)) cells per piece of width w <= 2, where
+    # 20 / (1 - r) nodes would ask for up to 2^45
     sizes = []
-    inner = WeightedMeasure.quadrature_rule
+    inner = WeightedMeasure.cell_rules
 
-    def recording(self, n, breakpoints=()):
-        sizes.append(n)
-        return inner(self, n, breakpoints)
+    def recording(self, edges, n):
+        out = inner(self, edges, n)
+        sizes.append(out[0].size)
+        return out
 
-    monkeypatch.setattr(WeightedMeasure, "quadrature_rule", recording)
+    monkeypatch.setattr(WeightedMeasure, "cell_rules", recording)
     p = JacobiParams(0.5, 0.5)
     with pytest.raises(ConvergenceError):
         abel_mean(family(p)["sign"], p, AbelParameter(r), XS[::5], route="kernel")
-    assert sizes == [4096]
+    pieces = len(piece_edges(-1.0, 1.0, [*XS[::5], 0.0])) - 1
+    bound = 12 * pieces * (4 + 2 * np.log2(10.0 / AbelParameter(r).k_minus_1))
+    assert len(sizes) == 1 and sizes[0] <= bound
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.5, 0.5), (-0.9, 0.3)])

@@ -5,7 +5,9 @@ or weighted sum of its own: this test parses it with `ast` and asserts that it
 calls neither `fourier_jacobi_coefficients` nor `jacobi_weighted_sum`, by any
 name or attribute. Gauss-Jacobi rules are cached once, in
 `quadrature._gauss_jacobi_raw` (which shares `gauss_legendre`'s Legendre
-rules); `polynomials._roots_jacobi_cached` only reads it.
+rules); `polynomials._roots_jacobi_cached` only reads it. The integrals of
+the Watson kernel take their cells from one helper, `kernels._kernel_cells`,
+or its edge function `_kernel_edges`, and choose no rule of their own.
 """
 
 import ast
@@ -13,10 +15,11 @@ from pathlib import Path
 
 from jacobi_watson import polynomials, quadrature
 
-CLI = Path(__file__).resolve().parents[1] / "src" / "jacobi_watson" / "cli.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "jacobi_watson"
+CLI = SRC / "cli.py"
 
 
-def _called_names(tree: ast.Module) -> set[str]:
+def _called_names(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -42,3 +45,17 @@ def test_one_gauss_jacobi_rule_cache():
     raw = quadrature._gauss_jacobi_raw(600, 0.25, -0.5)
     assert got[0] is raw[0] and got[1] is raw[1]
     assert polynomials.gauss_jacobi_rule(polynomials.JacobiParams(0.25, -0.5), 600).nodes is raw[0]
+
+
+def test_kernel_integrals_take_the_kernel_cells():
+    helpers = {
+        ("kernels.py", "kernel_mass"): "_kernel_cells",
+        ("abel.py", "abel_mean"): "_kernel_cells",
+        ("abel.py", "modified_abel_mean"): "_kernel_edges",
+    }
+    for (module, name), helper in helpers.items():
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        called = _called_names(fn)
+        assert helper in called, name
+        assert not called & {"quadrature_rule", "gauss_jacobi_rule", "graded_breakpoints"}, name
