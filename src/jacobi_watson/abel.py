@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import AbelParameter, _kernel_cells, _kernel_edges, watson_series_matrix
+from .kernels import AbelParameter, _absorbing_rule, _kernel_cells, _kernel_edges
+from .kernels import watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import (
     JacobiParams,
@@ -24,8 +25,8 @@ from .polynomials import (
     jacobi_norm_sequence,
     jacobi_weighted_sum,
 )
-from .quadrature import graded_grid, piece_edges
-from .quadrature import _ASY_MIN_NODES, _gauss_jacobi_raw
+# _gauss_jacobi_raw is unused here; perfbench's tracer asserts abel holds it (ROADMAP item 1)
+from .quadrature import _ASY_MIN_NODES, _gauss_jacobi_raw, graded_grid, piece_edges
 
 __all__ = [
     "Expansion",
@@ -94,15 +95,19 @@ class TestFunction:
     quadrature rules can split there. jumps lists ((t, d), ...): f steps up by
     d at t, so that f - sum d H(x - t), with H the unit step and H(0) = 1/2,
     is continuous there. Expansions take each jump's coefficients in closed
-    form and project only that remainder (`_as_expansion`).
+    form and project only that remainder (`_as_expansion`). exponents (el, er)
+    declare f = (1+x)^el (1-x)^er g with g smooth at +-1; every rule absorbs them.
     """
 
     tag: str
     fn: object
     breakpoints: tuple = ()
     jumps: tuple = ()
+    exponents: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        if self.jumps and any(self.exponents):
+            raise DomainError("jumps leave a remainder that is not (1 -+ x)^e times smooth")
         for t, d in self.jumps:
             if not (-1.0 < t < 1.0 and math.isfinite(d)):
                 raise DomainError(
@@ -126,7 +131,8 @@ def test_function_family(p: JacobiParams):
         TestFunction("const", lambda x: np.ones_like(x)),
         TestFunction("sign", np.sign, breakpoints=(0.0,), jumps=((0.0, 2.0),)),
         TestFunction("pk:3", lambda x: jacobi_eval(p, 3, x)),
-        TestFunction("fk:3", lambda x: jacobi_eval(p, 3, x) * _half_weight(p, x)),
+        TestFunction("fk:3", lambda x: jacobi_eval(p, 3, x) * _half_weight(p, x),
+                     exponents=(0.5 * p.beta, 0.5 * p.alpha)),
         TestFunction("bump", lambda x: np.exp(-0.5 * (x / 0.1) ** 2)),
         # the clip at 10 puts the kink where (1-x)^(-0.2) crosses it
         TestFunction("clipped", clipped, breakpoints=(1.0 - 1e-5,)),
@@ -218,7 +224,7 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     ACM TOMS 43 (2017). The jumps f declares contribute their coefficients up
     to the bound in closed form (`_jump_coefficients`), and only the
     remainder f - sum d H(x - t) is projected: for `sign` it is the constant
-    -1.
+    -1. Every rule absorbs the end exponents f declares (`_absorbing_rule`).
 
     The remainder is projected on two rungs of rules. When the rule the bound
     asks for (`_rule_size`) is larger than _ASY_MIN_NODES per piece between
@@ -237,17 +243,18 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
     if isinstance(f, Expansion):
         return f
     n = _default_terms(r_max, tol)
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
     breakpoints = getattr(f, "breakpoints", ())
     jumps = getattr(f, "jumps", ())
+    exponents = getattr(f, "exponents", (0.0, 0.0))
 
     def remainder(x):
         return f(x) - sum(d * np.heaviside(x - t, 0.5) for t, d in jumps)
 
+    full = _rule_size(n)
     rung = _ASY_MIN_NODES * (len(piece_edges(-1.0, 1.0, breakpoints)) - 1)
     e = None
-    if _rule_size(n) > rung:
-        x, w = m.quadrature_rule(rung, breakpoints)
+    if full > rung:
+        x, w = _absorbing_rule(p, exponents, WeightedMeasure.quadrature_rule, rung, breakpoints)
         top = _FIRST_CHECKPOINT
         while _rule_size(2 * top) <= rung:
             top *= 2
@@ -255,7 +262,7 @@ def _as_expansion(f, p: JacobiParams, r_max: float, tol: float) -> Expansion:
         if e is not None and not _resolved_between(e, remainder, x, w, rung // _ASY_MIN_NODES):
             e = None
     if e is None:
-        x, w = m.quadrature_rule(_rule_size(n), breakpoints)
+        x, w = _absorbing_rule(p, exponents, WeightedMeasure.quadrature_rule, full, breakpoints)
         e = _project(p, x, w, remainder(x), n)
     if not jumps:
         return e
@@ -383,7 +390,8 @@ def abel_mean(f, p: JacobiParams, ab: AbelParameter, x, route: str = "series"):
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ynodes, yweights = _kernel_cells(p, ab, xs, getattr(f, "breakpoints", ()))
+    breakpoints = getattr(f, "breakpoints", ())
+    ynodes, yweights = _kernel_cells(p, ab, xs, breakpoints, getattr(f, "exponents", (0.0, 0.0)))
     mat, _, _ = watson_series_matrix(p, r, xs, ynodes, tol_abs=_MEAN_TOL * 1e-3)
     vals = mat @ (yweights * f(ynodes))
     return float(vals[0]) if np.ndim(x) == 0 else vals
@@ -396,32 +404,27 @@ def modified_abel_mean(
     x: float,
     route: str = "halfweight",
     order: int = 160,
-    f_exponents: tuple[float, float] = (0.0, 0.0),
 ) -> float:
     """Abel mean of the Jacobi-function expansion, a Lebesgue-measure integral
     of the half-weighted kernel, at a scalar x.
 
-    route "halfweight" is hw(x) times the Abel mean of f / hw, with
-    hw = (1-y)^(a/2) (1+y)^(b/2): the shared adaptive expansion, projected on
-    a Gauss-Jacobi rule that absorbs hw and whose size follows r. The
+    route "halfweight" is hw(x) times the Abel mean of f / hw at tolerance
+    1e-12 (`_as_expansion`), with hw = (1-y)^(a/2) (1+y)^(b/2), declared with
+    f's breakpoints and f's exponents less hw's, so its rules absorb hw. The
     reference route "lebesgue" integrates the full modified-kernel integrand
     (the Watson series) on the Lebesgue measure's Gauss-Legendre cells
     (`WeightedMeasure.cell_rules`): the kernel cells' edges at x and f's
     breakpoints (`kernels._kernel_edges`), with cells graded toward +-1 down
     to 1e-12, since Lebesgue cells do not absorb the endpoint powers;
     `order` sizes its cells. The two routes share no nodes or weights.
-    f_exponents = (at -1, at +1) declares endpoint exponents carried by f
-    itself; the halfweight rule then absorbs them too, keeping eigenfunction
-    integrands polynomial.
     """
     r = ab.r
-    el, er = f_exponents
     wx = _half_weight(p, x)
     if route == "halfweight":
-        n = _default_terms(r, 1e-12)
-        y, w = _gauss_jacobi_raw(_rule_size(n), 0.5 * p.alpha + er, 0.5 * p.beta + el)
-        hw = _half_weight(p, y)
-        e = _project(p, y, w * hw / ((1.0 - y) ** er * (1.0 + y) ** el), f(y) / hw, n)
+        el, er = getattr(f, "exponents", (0.0, 0.0))
+        g = TestFunction("f/hw", lambda y: f(y) / _half_weight(p, y), getattr(f, "breakpoints", ()),
+                         exponents=(el - 0.5 * p.beta, er - 0.5 * p.alpha))
+        e = _as_expansion(g, p, r, 1e-12)
         return wx * float(_damped_sum(e, np.array([r]), x)[0, 0])
     if route != "lebesgue":
         raise DomainError(f"unknown route {route!r}")

@@ -97,10 +97,9 @@ class RunConfig:
                 # a grid has no checks, so a JSON report of it would pass vacuously
                 raise DomainError(f"suite {self.suite!r} emits CSV only; pass --format csv")
         _parse_measure(self.measure)  # fail fast on a bad measure spec
-        _pick_function(self, self.params)  # and on an unknown test function
-        if self.f_name == "fk:3" and min(self.alpha, self.beta) <= -2.0 / 3.0:
-            # fk:3 J(dx) behaves like (1 -+ x)^(3e/2) at an end of exponent e
-            raise DomainError("fk:3 is not in L^1(J) when min(alpha, beta) <= -2/3")
+        el, er = _pick_function(self, self.params).exponents  # and on an unknown --f
+        if self.alpha + er <= -1.0 or self.beta + el <= -1.0:
+            raise DomainError(f"{self.f_name} is not in L^1(J): f J(dx) has an end power <= -1")
 
     def echo(self) -> dict:
         return {

@@ -34,7 +34,7 @@ from .polynomials import (
     jacobi_norm,
     jacobi_norm_sequence,
 )
-from .measure import WeightedMeasure
+from .measure import WeightedMeasure, _power_product
 from .quadrature import graded_grid, interval_rule, piece_edges, sqrt_left_rule
 
 __all__ = [
@@ -545,11 +545,21 @@ def _kernel_edges(ab: AbelParameter, xs, breakpoints) -> np.ndarray:
     ]))
 
 
-def _kernel_cells(p: JacobiParams, ab: AbelParameter, xs, breakpoints):
+def _absorbing_rule(p: JacobiParams, exponents, rule, *args):
+    """rule(m, *args) on m = jacobi(a + er, b + el), weights divided by (1-y)^er (1+y)^el:
+    sum w f ~ int f dJ absorbs f's declared (el, er). With none, J's rule untouched."""
+    el, er = exponents
+    y, w = rule(WeightedMeasure.jacobi(p.alpha + er, p.beta + el), *args)
+    if el == 0.0 and er == 0.0:
+        return y, w
+    return y, w / _power_product(((1.0, er), (-1.0, el)), y)
+
+
+def _kernel_cells(p: JacobiParams, ab: AbelParameter, xs, breakpoints, exponents=(0.0, 0.0)):
     """The rule for int K(r, x, y) f(y) dJ(y) at each x of xs, f smooth between
-    its breakpoints: _CELL_NODES Jacobi cell-rule nodes per `_kernel_edges` cell."""
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    return m.cell_rules(_kernel_edges(ab, xs, breakpoints), _CELL_NODES)
+    its breakpoints: _CELL_NODES nodes per `_kernel_edges` cell (`_absorbing_rule`)."""
+    edges = _kernel_edges(ab, xs, breakpoints)
+    return _absorbing_rule(p, exponents, WeightedMeasure.cell_rules, edges, _CELL_NODES)
 
 
 def kernel_mass(p: JacobiParams, ab: AbelParameter, x: float) -> float:

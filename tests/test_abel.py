@@ -62,16 +62,13 @@ class TestSingleTermMeans:
         assert got == pytest.approx(0.7**3 * jacobi_eval(p, 3, 0.4), abs=1e-10)
 
     def test_modified_mean_eigenvector(self):
-        # F_3 carries endpoint exponents (b/2 at -1, a/2 at +1); once declared,
-        # the halfweight rule absorbs them and the integrand is a polynomial
+        # F_3 declares its endpoint exponents (b/2 at -1, a/2 at +1), so the
+        # halfweight rule absorbs them and the integrand is a polynomial
         p = JacobiParams(0.5, 0.3)
         fk = family(p)["fk:3"]
         for r in (0.5, 0.9):
             for x in (-0.3, 0.4):
-                got = modified_abel_mean(
-                    fk, p, AbelParameter(r), x,
-                    f_exponents=(0.5 * p.beta, 0.5 * p.alpha),
-                )
+                got = modified_abel_mean(fk, p, AbelParameter(r), x)
                 want = r**3 * jacobi_function_eval(p, 3, x)
                 assert got == pytest.approx(want, abs=1e-13)
 

@@ -1,5 +1,5 @@
 """Expansions sized by the input: the first-rung rule, its residual projection,
-and the kernel-route rule that follows 1 - r."""
+and the kernel route, whose cells follow 1 - r."""
 
 import mpmath
 import numpy as np

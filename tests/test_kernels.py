@@ -289,10 +289,10 @@ class TestStreamedSeries:
             assert np.float64(one[0]).tobytes() == np.float64(batch[i]).tobytes(), i
 
     def test_kernel_mass_memory_stays_flat_near_one(self):
-        # r = 0.994 sums 10,466 terms on a 2048-node row; full tables of
-        # them took 164 MB
+        # r = 0.994 sums 10,466 terms on the 816 nodes of the kernel cells at
+        # x = 0.3; full tables of them took 164 MB
         p, ab = JacobiParams(0.5, 0.5), AbelParameter(0.994)
-        kernel_mass(p, ab, 0.3)  # build the cached rule outside the guard
+        kernel_mass(p, ab, 0.3)  # warm the caches outside the guard; cells are per call
         peak = self._peak_bytes(lambda: kernel_mass(p, ab, 0.3))
         assert peak < 8 * 2**20
 
@@ -304,7 +304,7 @@ class TestStreamedSeries:
         def mean():
             return abel_mean(sign, p, AbelParameter(0.99), x, route="kernel")
 
-        mean()  # the 1024-node rule is cached from here on
+        mean()  # the caches are warm from here on; the cells are built per call
         assert self._peak_bytes(mean) < 8 * 2**20
 
     @pytest.mark.parametrize("bad", [1.5, -1.0000001, math.nan, math.inf])

@@ -36,10 +36,10 @@ def test_halfweight_and_lebesgue_routes_agree(a, b, tag):
 @pytest.mark.parametrize("a,b", [(0.5, 0.3), (-0.5, -0.5)])
 @pytest.mark.parametrize("r", [0.999, 1.0 - 2.0**-12])
 def test_jacobi_function_is_an_eigenfunction_near_one(a, b, r):
-    # F_3 with its endpoint exponents declared: the projection is exact, and
-    # no series budget caps r
+    # F_3 declares its endpoint exponents: the projection is exact, and no
+    # series budget caps r
     p = JacobiParams(a, b)
     fk = {tf.tag: tf for tf in function_family(p)}["fk:3"]
     for x in (-0.9, -0.3, 0.4, 0.95):
-        got = modified_abel_mean(fk, p, AbelParameter(r), x, f_exponents=(0.5 * b, 0.5 * a))
+        got = modified_abel_mean(fk, p, AbelParameter(r), x)
         assert got == pytest.approx(r**3 * jacobi_function_eval(p, 3, x), abs=1e-13)

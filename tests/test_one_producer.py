@@ -7,7 +7,10 @@ name or attribute. Gauss-Jacobi rules are cached once, in
 `quadrature._gauss_jacobi_raw` (which shares `gauss_legendre`'s Legendre
 rules); `polynomials._roots_jacobi_cached` only reads it. The integrals of
 the Watson kernel take their cells from one helper, `kernels._kernel_cells`,
-or its edge function `_kernel_edges`, and choose no rule of their own.
+or its edge function `_kernel_edges`, and choose no rule of their own. In
+`abel.py` only `_as_expansion` projects (`_project`, `_project_residual`) and
+takes rules that absorb f's declared exponents (`_absorbing_rule`); the
+halfweight route of `modified_abel_mean` is a call of it.
 """
 
 import ast
@@ -59,3 +62,17 @@ def test_kernel_integrals_take_the_kernel_cells():
         called = _called_names(fn)
         assert helper in called, name
         assert not called & {"quadrature_rule", "gauss_jacobi_rule", "graded_breakpoints"}, name
+
+
+def test_abel_projects_only_in_as_expansion():
+    tree = ast.parse((SRC / "abel.py").read_text(), filename="abel.py")
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    engine = {"_project", "_project_residual", "_absorbing_rule"}
+    assert engine <= _called_names(functions["_as_expansion"])
+    for name, fn in functions.items():
+        if name != "_as_expansion":
+            assert not _called_names(fn) & engine, name
+    called = _called_names(functions["modified_abel_mean"])
+    assert "_as_expansion" in called
+    rule_builders = {"_gauss_jacobi_raw", "gauss_jacobi_rule", "gauss_legendre", "quadrature_rule"}
+    assert not called & rule_builders
