@@ -156,7 +156,8 @@ def fourier_jacobi_coefficients(
     """Coefficients c(n) = (1/h_n) int f P_n dJ for n = 0..degree.
 
     order is the quadrature size; it must be at least degree + 1 so the rule
-    resolves every projected polynomial.
+    resolves every projected polynomial. The rule absorbs f's declared end
+    exponents (`_absorbing_rule`).
     """
     if degree < 0:
         raise DomainError(f"need degree >= 0, got {degree}")
@@ -164,8 +165,8 @@ def fourier_jacobi_coefficients(
         order = max(2 * (degree + 1), 64)
     if order < degree + 1:
         raise DomainError(f"order {order} cannot resolve degree {degree}")
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    x, w = m.quadrature_rule(order, getattr(f, "breakpoints", ()))
+    x, w = _absorbing_rule(p, getattr(f, "exponents", (0.0, 0.0)), WeightedMeasure.quadrature_rule,
+                           order, getattr(f, "breakpoints", ()))
     coeffs = np.fromiter(_coefficients(p, x, w * f(x), degree), float, degree + 1)
     return Expansion(params=p, coeffs=coeffs)
 
@@ -457,16 +458,27 @@ def jacobi_maximal(f, p: JacobiParams, x, r_grid=None, tol: float = 1e-8):
     return float(best[0]) if np.ndim(x) == 0 else best
 
 
+def _lp_rule(f, p: JacobiParams, p_exp: float, rule, *args):
+    """`_absorbing_rule` for |f|^p_exp, whose end exponents are p_exp times
+    f's declared ones (f's own for p_exp = inf, where only the nodes count)."""
+    q = 1.0 if p_exp == math.inf else p_exp
+    el, er = (q * e for e in getattr(f, "exponents", (0.0, 0.0)))
+    if p.alpha + er <= -1.0 or p.beta + el <= -1.0:
+        raise DomainError(f"{getattr(f, 'tag', 'f')} is not in L^{p_exp:g}(J)")
+    return _absorbing_rule(p, (el, er), rule, *args)
+
+
 def lp_norm(f, p: JacobiParams, p_exp: float) -> float:
     """Lp norm with respect to J(dx), on a 256-node rule split at f's
-    breakpoints; p_exp = inf takes a dense-grid sup."""
+    breakpoints that absorbs the end exponents of |f|^p (`_lp_rule`);
+    p_exp = inf takes a dense-grid sup."""
     if p_exp != math.inf and p_exp < 1.0:
         raise DomainError(f"need p >= 1, got {p_exp}")
     if p_exp == math.inf:
         xs = np.cos(np.linspace(0.0, math.pi, 4096))[1:-1]
         return float(np.max(np.abs(f(xs))))
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
-    x, w = m.quadrature_rule(256, getattr(f, "breakpoints", ()))
+    breakpoints = getattr(f, "breakpoints", ())
+    x, w = _lp_rule(f, p, p_exp, WeightedMeasure.quadrature_rule, 256, breakpoints)
     return float(np.dot(w, np.abs(f(x)) ** p_exp)) ** (1.0 / p_exp)
 
 
@@ -481,16 +493,16 @@ def lp_convergence_probe(
 
     The quadrature grid is graded toward the function's breakpoints, where the
     Abel error concentrates in a layer of width about 1 - r, with a 10-node
-    rule on each cell.
+    rule on each cell, which absorbs the end exponents of the error's p-th
+    power (`_lp_rule`).
     """
     rs = np.asarray(r_sequence, dtype=float)
     if np.any(rs <= 0.0) or np.any(rs >= 1.0):
         raise DomainError("r sequence must lie inside (0, 1)")
-    e = _as_expansion(f, p, float(rs.max()), tol)
-    m = WeightedMeasure.jacobi(p.alpha, p.beta)
     pieces = piece_edges(-1.0, 1.0, getattr(f, "breakpoints", ()))
     grids = [graded_grid(lo, hi, min_scale=1e-10) for lo, hi in zip(pieces[:-1], pieces[1:])]
-    x, w = m.cell_rules(np.unique(np.concatenate(grids)), 10)
+    x, w = _lp_rule(f, p, p_exp, WeightedMeasure.cell_rules, np.unique(np.concatenate(grids)), 10)
+    e = _as_expansion(f, p, float(rs.max()), tol)
     err = np.abs(_damped_sum(e, rs, x) - f(x)[None, :])
     if p_exp == math.inf:
         return [float(v) for v in err.max(axis=1)]

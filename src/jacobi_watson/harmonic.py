@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .measure import WeightedMeasure, _power_product, equal_measure_split, interval_mass
+from .measure import WeightedMeasure, _invert_mass, _power_product, interval_mass
 from .quadrature import graded_breakpoints, graded_grid, piece_edges
 
 __all__ = [
@@ -219,33 +219,6 @@ def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float):
     return total, float(np.max(fv))
 
 
-def _extend_by_mass(m: WeightedMeasure, point: float, target: float, direction: str) -> float:
-    """Endpoint t with mu between t and `point` equal to target, clipped at
-    the support; direction "left" searches below the point."""
-    a, b = m.support
-    if direction == "left":
-        if m.interval_mass_exact(a, point) <= target:
-            return a
-        lo, hi = a, point
-        for _ in range(100):
-            c = 0.5 * (lo + hi)
-            if m.interval_mass_exact(c, point) > target:
-                lo = c
-            else:
-                hi = c
-        return 0.5 * (lo + hi)
-    if m.interval_mass_exact(point, b) <= target:
-        return b
-    lo, hi = point, b
-    for _ in range(100):
-        c = 0.5 * (lo + hi)
-        if m.interval_mass_exact(point, c) > target:
-            hi = c
-        else:
-            lo = c
-    return 0.5 * (lo + hi)
-
-
 def _merged_mass(m: WeightedMeasure, intervals) -> tuple:
     """Union mass of possibly overlapping intervals; returns (mass, merged)."""
     if not intervals:
@@ -283,47 +256,21 @@ def cz_decompose(m: WeightedMeasure, f, lam: float) -> CZDecomposition:
     norm1 = _integral_and_sup(m, f, a, b)[0]
     mass_floor = _CZ_MIN_MASS_REL * total_mass
 
-    def _evaluators(selected):
-        lefts = np.array([iv[0] for iv in selected])
-        rights = np.array([iv[1] for iv in selected])
-        avgs = np.array([iv[2] for iv in selected])
-
-        def good(x):
-            x = np.asarray(x, dtype=float)
-            out = np.asarray(f(x), dtype=float).copy()
-            if lefts.size:
-                idx = np.searchsorted(lefts, x, side="right") - 1
-                inside = (idx >= 0) & (x <= rights[np.clip(idx, 0, None)])
-                out[inside] = avgs[idx[inside]]
-            return out
-
-        def bad(x):
-            x = np.asarray(x, dtype=float)
-            return np.asarray(f(x), dtype=float) - good(x)
-
-        return good, bad
-
-    if norm1 / total_mass > lam:
-        good, bad = _evaluators([])
-        return CZDecomposition(
-            lam=lam, intervals=(), good=good, bad=bad, mass_G=0.0,
-            mass_Gstar=0.0, gstar_intervals=(), norm1=norm1, trivial=True,
-        )
-
+    trivial = bool(norm1 / total_mass > lam)
+    # (l, r, mass, depth) per stacked interval, (l, r, average, mass) per selected
+    stack = [] if trivial else [(a, b, total_mass, 0)]
     selected = []
-    stack = [(a, b, 0)]
     while stack:
-        l, r, depth = stack.pop()
+        l, r, mass, depth = stack.pop()
         if depth >= _CZ_MAX_DEPTH:
             continue
-        (ll, c), (_, rr) = equal_measure_split(m, (l, r))
+        c, left = _invert_mass(m, l, r, 0.5 * mass, mass)
         over = 0
-        for lo, hi in ((ll, c), (c, rr)):
-            mass = m.interval_mass_exact(lo, hi)
-            if mass <= 0.0:
+        for lo, hi, mu in ((l, c, left), (c, r, m.interval_mass_exact(c, r))):
+            if mu <= 0.0:
                 continue
             integral, sup = _integral_and_sup(m, f, lo, hi)
-            avg = integral / mass
+            avg = integral / mu
             if avg > lam:
                 over += 1
                 if avg > 2.0 * lam * (1.0 + 1e-8):
@@ -331,34 +278,50 @@ def cz_decompose(m: WeightedMeasure, f, lam: float) -> CZDecomposition:
                         "half average exceeds twice the threshold below a "
                         "parent at or under it; quadrature is inconsistent"
                     )
-                selected.append((lo, hi, avg))
-            elif mass >= mass_floor and sup > lam:
+                selected.append((lo, hi, avg, mu))
+            elif mu >= mass_floor and sup > lam:
                 # f <= lam across the cell means no descendant is selectable;
                 # recursing is only useful where the level set still crosses
-                stack.append((lo, hi, depth + 1))
+                stack.append((lo, hi, mu, depth + 1))
         # the parent average was <= lam, so at most one half can exceed it
         if over == 2:
             raise AssertionError("both halves exceed the threshold")
     selected.sort(key=lambda iv: iv[0])
 
-    mus = [m.interval_mass_exact(l, r) for l, r, _ in selected]
-    mass_G = sum(mus)
+    # G* grows each selected interval by its own mass on either side
     inflated = [
-        (_extend_by_mass(m, l, mu, "left"), _extend_by_mass(m, r, mu, "right"))
-        for (l, r, _), mu in zip(selected, mus)
+        (_invert_mass(m, l, a, mu, m.interval_mass_exact(a, l))[0],
+         _invert_mass(m, r, b, mu, m.interval_mass_exact(r, b))[0])
+        for l, r, _, mu in selected
     ]
     mass_gstar, merged = _merged_mass(m, inflated)
-    good, bad = _evaluators(selected)
+    lefts = np.array([iv[0] for iv in selected])
+    rights = np.array([iv[1] for iv in selected])
+    avgs = np.array([iv[2] for iv in selected])
+
+    def good(x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(f(x), dtype=float).copy()
+        if lefts.size:
+            idx = np.searchsorted(lefts, x, side="right") - 1
+            inside = (idx >= 0) & (x <= rights[np.clip(idx, 0, None)])
+            out[inside] = avgs[idx[inside]]
+        return out
+
+    def bad(x):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(f(x), dtype=float) - good(x)
+
     return CZDecomposition(
         lam=lam,
-        intervals=tuple(selected),
+        intervals=tuple((l, r, avg) for l, r, avg, _ in selected),
         good=good,
         bad=bad,
-        mass_G=mass_G,
+        mass_G=sum((mu for *_, mu in selected), 0.0),
         mass_Gstar=mass_gstar,
         gstar_intervals=merged,
         norm1=norm1,
-        trivial=False,
+        trivial=trivial,
     )
 
 

@@ -547,7 +547,8 @@ def _kernel_edges(ab: AbelParameter, xs, breakpoints) -> np.ndarray:
 
 def _absorbing_rule(p: JacobiParams, exponents, rule, *args):
     """rule(m, *args) on m = jacobi(a + er, b + el), weights divided by (1-y)^er (1+y)^el:
-    sum w f ~ int f dJ absorbs f's declared (el, er). With none, J's rule untouched."""
+    sum w f ~ int f dJ absorbs f's declared (el, er). With none, J's rule untouched:
+    bitwise equal to the rule of jacobi(a, b), not the cached arrays themselves."""
     el, er = exponents
     y, w = rule(WeightedMeasure.jacobi(p.alpha + er, p.beta + el), *args)
     if el == 0.0 and er == 0.0:

@@ -159,17 +159,7 @@ class WeightedMeasure:
     def cdf(self, x: float) -> float:
         """Mass of [support_left, x]."""
         a, b = self.support
-        x = min(max(float(x), a), b)
-        if self.family == "lebesgue":
-            return x - a
-        if self.family == "power":
-            (p,) = self.params
-            if a == 0.0:
-                return x ** (p + 1.0) / (p + 1.0)
-            return (1.0 - (-x) ** (p + 1.0)) / (p + 1.0)
-        if self.family == "jacobi":
-            return _jacobi_mass(*self.params, -1.0, x)
-        return self._generic_cdf(x)
+        return self.interval_mass_exact(a, min(max(float(x), a), b))
 
     def _quad_interval_mass(self, l: float, r: float) -> float:
         nodes, weights = self.cell_rule(l, r, _MASS_NODES)
@@ -363,14 +353,7 @@ class WeightedMeasure:
         edges = piece_edges(a, b, breakpoints)
         if len(edges) > 2:
             return self.cell_rules(edges, max(24, n // (len(edges) - 1)))
-        if self.family == "jacobi":
-            alpha, beta = self.params
-            return _gauss_jacobi_raw(n, alpha, beta)
-        if self.family == "lebesgue":
-            xi, wi = gauss_legendre(n)
-            half = 0.5 * (b - a)
-            return 0.5 * (a + b) + half * xi, half * wi
-        if self.family == "power":
+        if self.family != "product":
             return self.cell_rule(a, b, n)
         bp, _ = self._cumulative_table()
         return self.cell_rules(bp, max(8, n // 8))
@@ -415,24 +398,35 @@ def interval_mass(m: WeightedMeasure, interval) -> float:
     return m.interval_mass_exact(l, r)
 
 
+def _invert_mass(m: WeightedMeasure, x0: float, x1: float, target: float, whole: float):
+    """(t, mass), mass = mu between x0 and t, for t between x0 and x1 (either
+    order), by bisection from x0: it stops when mass is within 1e-12 of target
+    (relative), when the step falls below 1e-17 |x1 - x0|, which ends a target
+    the float grid cannot resolve, or after 200 steps. whole is mu between x0
+    and x1; when it is at most target, the answer is (x1, whole)."""
+    if whole <= target:
+        return x1, whole
+    near, far = x0, x1
+    for _ in range(200):
+        t = 0.5 * (near + far)
+        mass = m.interval_mass_exact(min(x0, t), max(x0, t))
+        err = mass - target
+        if abs(err) <= 1e-12 * target or abs(far - near) <= 1e-17 * abs(x1 - x0):
+            break
+        if err > 0.0:
+            far = t
+        else:
+            near = t
+    return t, mass
+
+
 def equal_measure_split(m: WeightedMeasure, interval):
-    """Split an interval into two halves of equal measure by CDF bisection,
-    to 1e-12 of its mass or at most 200 steps."""
+    """Split an interval into two halves of equal measure (`_invert_mass`)."""
     l, r = _check_inside(m, interval)
     total = interval_mass(m, (l, r))
     if total <= 0.0:
         raise DegenerateInputError(f"interval [{l}, {r}] has zero mass")
-    lo, hi = l, r
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        left = interval_mass(m, (l, c))
-        err = left - 0.5 * total
-        if abs(err) <= 0.5 * 1e-12 * total or hi - lo <= 1e-17 * (r - l):
-            break
-        if err > 0.0:
-            hi = c
-        else:
-            lo = c
+    c, _ = _invert_mass(m, l, r, 0.5 * total, total)
     return (l, c), (c, r)
 
 

@@ -8,9 +8,12 @@ name or attribute. Gauss-Jacobi rules are cached once, in
 rules); `polynomials._roots_jacobi_cached` only reads it. The integrals of
 the Watson kernel take their cells from one helper, `kernels._kernel_cells`,
 or its edge function `_kernel_edges`, and choose no rule of their own. In
-`abel.py` only `_as_expansion` projects (`_project`, `_project_residual`) and
-takes rules that absorb f's declared exponents (`_absorbing_rule`); the
-halfweight route of `modified_abel_mean` is a call of it.
+`abel.py` only `_as_expansion` projects (`_project`, `_project_residual`);
+the halfweight route of `modified_abel_mean` is a call of it. No function
+there builds a rule itself (`quadrature_rule`, `cell_rules`) except the
+`lebesgue` reference of `modified_abel_mean`: the others take rules that
+absorb f's declared exponents (`_absorbing_rule`). The measure layer inverts
+mu once (`measure._invert_mass`); `harmonic.py` bisects for no mass itself.
 """
 
 import ast
@@ -64,10 +67,14 @@ def test_kernel_integrals_take_the_kernel_cells():
         assert not called & {"quadrature_rule", "gauss_jacobi_rule", "graded_breakpoints"}, name
 
 
+def _functions(module: str) -> dict:
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
 def test_abel_projects_only_in_as_expansion():
-    tree = ast.parse((SRC / "abel.py").read_text(), filename="abel.py")
-    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    engine = {"_project", "_project_residual", "_absorbing_rule"}
+    functions = _functions("abel.py")
+    engine = {"_project", "_project_residual"}
     assert engine <= _called_names(functions["_as_expansion"])
     for name, fn in functions.items():
         if name != "_as_expansion":
@@ -76,3 +83,15 @@ def test_abel_projects_only_in_as_expansion():
     assert "_as_expansion" in called
     rule_builders = {"_gauss_jacobi_raw", "gauss_jacobi_rule", "gauss_legendre", "quadrature_rule"}
     assert not called & rule_builders
+    # every other rule against J comes through `_absorbing_rule`; the one
+    # rule built here is the `lebesgue` reference's, on Lebesgue cells
+    for name, fn in functions.items():
+        builds = _called_names(fn) & {"quadrature_rule", "cell_rules"}
+        assert builds == ({"cell_rules"} if name == "modified_abel_mean" else set()), name
+
+
+def test_harmonic_inverts_no_mass_of_its_own():
+    functions = _functions("harmonic.py")
+    assert "_extend_by_mass" not in functions
+    called = _called_names(functions["cz_decompose"])
+    assert "_invert_mass" in called and "equal_measure_split" not in called
