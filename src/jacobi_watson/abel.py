@@ -429,8 +429,10 @@ def modified_abel_mean(
         return wx * float(_damped_sum(e, np.array([r]), x)[0, 0])
     if route != "lebesgue":
         raise DomainError(f"unknown route {route!r}")
-    # the end cells carry an unabsorbed integrable singularity; their mass is
-    # ~ min_scale^(1 + e/2) ~ 1e-9 at worst
+    # Lebesgue cells leave hw's end powers unabsorbed, so the cells graded
+    # toward +-1 integrate a singularity: on sign at (0.9, -0.9), r = 0.5,
+    # this route misses the halfweight one by 3.2e-9 at x = -0.9
+    # (3.4e-10 at x = 0)
     kernel = _kernel_edges(ab, [x], getattr(f, "breakpoints", ()))
     edges = np.unique(np.concatenate([graded_grid(-1.0, 1.0, min_scale=1e-12), kernel]))
     ynodes, yweights = WeightedMeasure.lebesgue(-1.0, 1.0).cell_rules(edges, max(12, order // 8))

@@ -170,7 +170,7 @@ def _kernel_mass(cfg: RunConfig, rep: Report) -> None:
     for r in cfg.r_grid:
         tol = 1e-8 if r <= 0.95 else 1e-6
         worst = max(abs(kernel_mass(p, AbelParameter(r), x) - 1.0) for x in xs)
-        rep.add(f"mass r={r:g}", "mass-conservation", worst, tol, worst <= tol)
+        rep.at_most(f"mass r={r:g}", "mass-conservation", worst, tol)
 
 
 def _kernel_positivity(cfg: RunConfig, rep: Report) -> None:
@@ -179,7 +179,7 @@ def _kernel_positivity(cfg: RunConfig, rep: Report) -> None:
     for r in cfg.r_grid:
         mat, _, _ = watson_series_matrix(p, r, xs, xs)
         low = float(mat.min())
-        rep.add(f"min r={r:g}", "kernel-nonnegative", low, -1e-10, low >= -1e-10)
+        rep.at_least(f"min r={r:g}", "kernel-nonnegative", low, -1e-10)
 
 
 def _kernel_crossval(cfg: RunConfig, rep: Report) -> None:
@@ -194,13 +194,7 @@ def _kernel_crossval(cfg: RunConfig, rep: Report) -> None:
         for (x, y), a in zip(pairs, series):
             b = watson_kernel_bailey(p, ab, x, y).value
             worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-        rep.add(
-            f"series-vs-product r={r:g}",
-            "dual-route-agreement",
-            worst,
-            1e-8,
-            worst <= 1e-8,
-        )
+        rep.at_most(f"series-vs-product r={r:g}", "dual-route-agreement", worst, 1e-8)
         if p.alpha + p.beta > -1.0:
             worst = 0.0
             xi = np.linspace(-0.8, 0.8, 3)
@@ -208,13 +202,7 @@ def _kernel_crossval(cfg: RunConfig, rep: Report) -> None:
             for x, a in zip(xi, series):
                 c = watson_kernel_integral(p, ab, x, 0.3).value
                 worst = max(worst, abs(a - c) / max(abs(a), 1e-300))
-            rep.add(
-                f"series-vs-integral r={r:g}",
-                "integral-route-agreement",
-                worst,
-                1e-4,
-                worst <= 1e-4,
-            )
+            rep.at_most(f"series-vs-integral r={r:g}", "integral-route-agreement", worst, 1e-4)
 
 
 def _grid_kernel(cfg: RunConfig):
@@ -243,13 +231,7 @@ def _abel_mean(cfg: RunConfig, rep: Report) -> None:
         if f.tag == "pk:3":
             want = r**3 * jacobi_eval(p, 3, xs)
             worst = float(np.max(np.abs(vals - want)))
-            rep.add(
-                f"single-term r={r:g}",
-                "damped-eigenvector",
-                worst,
-                1e-10,
-                worst <= 1e-10,
-            )
+            rep.at_most(f"single-term r={r:g}", "damped-eigenvector", worst, 1e-10)
         else:
             step = max(1, xs.size // 5)
             dual = abel.abel_mean(f, p, ab, xs[::step], route="kernel")
@@ -257,13 +239,7 @@ def _abel_mean(cfg: RunConfig, rep: Report) -> None:
             # those already computed
             ser = vals[::step]
             worst = float(np.max(np.abs(dual - ser)))
-            rep.add(
-                f"dual-route r={r:g}",
-                "series-vs-kernel-mean",
-                worst,
-                1e-6,
-                worst <= 1e-6,
-            )
+            rep.at_most(f"dual-route r={r:g}", "series-vs-kernel-mean", worst, 1e-6)
 
 
 def _maximal_pair(cfg: RunConfig, coarse: int, fine: int):
@@ -288,8 +264,7 @@ def _abel_maximal(cfg: RunConfig, rep: Report) -> None:
         0.0,
         mono,
     )
-    top = float(np.max(vb))
-    rep.add("sup finite", "maximal-finite", top, None, math.isfinite(top))
+    rep.finite("sup finite", "maximal-finite", float(np.max(vb)))
 
 
 def _abel_lp(cfg: RunConfig, rep: Report) -> None:
@@ -354,38 +329,16 @@ def _cz_decompose(cfg: RunConfig, rep: Report) -> None:
         avgs = [iv[2] for iv in d.intervals]
         sel_lo = min(avgs) if avgs else lam + 1
         sel_hi = max(avgs) if avgs else 0.0
-        rep.add(
-            f"{tag} selected averages > lam",
-            "selection-lower",
-            sel_lo,
-            lam,
-            sel_lo > lam,
-        )
-        rep.add(
-            f"{tag} selected averages <= 2 lam",
-            "selection-upper",
-            sel_hi,
-            2.0 * lam,
-            sel_hi <= 2.0 * lam * (1.0 + 1e-12),
-        )
+        rep.above(f"{tag} selected averages > lam", "selection-lower", sel_lo, lam)
+        rep.at_most(f"{tag} selected averages <= 2 lam", "selection-upper", sel_hi, 2.0 * lam,
+                    slack=1e-12)
         tot, _ = harmonic._merged_mass(m, [(iv[0], iv[1]) for iv in d.intervals])
-        rep.add(
-            f"{tag} selected mass",
-            "selection-mass",
-            tot,
-            d.norm1 / lam,
-            tot <= d.norm1 / lam * (1.0 + 1e-10),
-        )
-        rep.add(
-            f"{tag} inflated mass",
-            "inflated-mass",
-            d.mass_Gstar,
-            3.0 * d.norm1 / lam,
-            d.mass_Gstar <= 3.0 * d.norm1 / lam * (1.0 + 1e-10),
-        )
+        rep.at_most(f"{tag} selected mass", "selection-mass", tot, d.norm1 / lam, slack=1e-10)
+        rep.at_most(f"{tag} inflated mass", "inflated-mass", d.mass_Gstar, 3.0 * d.norm1 / lam,
+                    slack=1e-10)
         xs = np.linspace(a + 1e-9, b - 1e-9, 101)
         recon = float(np.max(np.abs(f(xs) - d.good(xs) - d.bad(xs))))
-        rep.add(f"{tag} f = g + b", "reconstruction", recon, 1e-9, recon <= 1e-9)
+        rep.at_most(f"{tag} f = g + b", "reconstruction", recon, 1e-9)
     if norm1 is not None:
         rep.add("norm echo", "l1-norm", norm1, None, True, hard=False)
 
@@ -396,10 +349,8 @@ def _cz_decompose(cfg: RunConfig, rep: Report) -> None:
 def _weights_identity(cfg: RunConfig, rep: Report) -> None:
     m = WeightedMeasure.lebesgue(0.0, 1.0)
     one = harmonic.PowerWeight(())
-    v = harmonic.a1_constant(one, m)
-    rep.add("a1 of unit weight", "unit-a1", v, 1.0, abs(v - 1.0) <= 1e-10)
-    v2 = harmonic.ap_constant(one, m, 2.0)
-    rep.add("a2 of unit weight", "unit-ap", v2, 1.0, abs(v2 - 1.0) <= 1e-10)
+    rep.near("a1 of unit weight", "unit-a1", harmonic.a1_constant(one, m), 1.0, 1e-10)
+    rep.near("a2 of unit weight", "unit-ap", harmonic.ap_constant(one, m, 2.0), 1.0, 1e-10)
 
 
 def _weights_power(cfg: RunConfig, rep: Report) -> None:
@@ -411,13 +362,7 @@ def _weights_power(cfg: RunConfig, rep: Report) -> None:
             got = harmonic.weighted_interval_average(base, w, (0.0, x))
             want = (a_out + 1.0) / (a_out + a_in + 1.0) * x**a_in
             worst = max(worst, abs(got - want) / want)
-    rep.add(
-        "left-average identity",
-        "power-average-closed-form",
-        worst,
-        1e-8,
-        worst <= 1e-8,
-    )
+    rep.at_most("left-average identity", "power-average-closed-form", worst, 1e-8)
 
 
 def _weights_jacobi_a1(cfg: RunConfig, rep: Report) -> None:
@@ -433,7 +378,7 @@ def _weights_ap(cfg: RunConfig, rep: Report) -> None:
     m = WeightedMeasure.lebesgue(0.0, 1.0)
     good = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 0.5),)), m, 2.0)
     bad = harmonic.ap_constant(harmonic.PowerWeight(((0.0, 1.5),)), m, 2.0)
-    rep.add("inside class finite", "ap-admissible", good, None, math.isfinite(good))
+    rep.finite("inside class finite", "ap-admissible", good)
     rep.add(
         "outside class infinite",
         "ap-inadmissible",
@@ -464,24 +409,12 @@ def _estimates_poisson(cfg: RunConfig, rep: Report) -> None:
         ("k2", None, 2.0),
         ("k3", None, math.pi),
     ):
-        got = estimates.poisson_mass(tag, alpha)
-        rep.add(
-            f"mass {tag}",
-            "comparison-kernel-mass",
-            got,
-            want,
-            abs(got - want) <= 1e-6,
-        )
+        rep.near(f"mass {tag}", "comparison-kernel-mass", estimates.poisson_mass(tag, alpha),
+                 want, 1e-6)
     a = cfg.alpha
     kern = estimates.PoissonTypeKernel("k4", a if a > -1 else 0.5)
-    got = estimates.poisson_mass("k4", kern.alpha)
-    rep.add(
-        f"mass k4 alpha={kern.alpha:g}",
-        "comparison-kernel-mass",
-        got,
-        kern.analytic_mass,
-        abs(got - kern.analytic_mass) <= 1e-6,
-    )
+    rep.near(f"mass k4 alpha={kern.alpha:g}", "comparison-kernel-mass",
+             estimates.poisson_mass("k4", kern.alpha), kern.analytic_mass, 1e-6)
 
 
 def _estimates_dyadic(cfg: RunConfig, rep: Report) -> None:
@@ -507,27 +440,9 @@ def _estimates_auxiliary(cfg: RunConfig, rep: Report) -> None:
         v1, v2 = estimates.estm_integrals(ab, 0.7)
         pv = estimates.estm_proof_variant(ab)
         sups = [max(sups[0], v1), max(sups[1], v2), max(sups[2], pv)]
-    rep.add(
-        "windowed integral sup",
-        "auxiliary-bounded",
-        sups[0],
-        None,
-        math.isfinite(sups[0]),
-    )
-    rep.add(
-        "endpoint-weighted sup",
-        "auxiliary-bounded",
-        sups[1],
-        None,
-        math.isfinite(sups[1]),
-    )
-    rep.add(
-        "rearranged variant sup",
-        "auxiliary-mass-bound",
-        sups[2],
-        4.0,
-        sups[2] <= 4.0,
-    )
+    rep.finite("windowed integral sup", "auxiliary-bounded", sups[0])
+    rep.finite("endpoint-weighted sup", "auxiliary-bounded", sups[1])
+    rep.at_most("rearranged variant sup", "auxiliary-mass-bound", sups[2], 4.0)
 
 
 def _estimates_shift(cfg: RunConfig, rep: Report) -> None:
@@ -553,20 +468,8 @@ def _estimates_mainest(cfg: RunConfig, rep: Report) -> None:
             w = estimates.mainest_integral(pp, ab, 0.5, n_y=96, n_s=32, level=3)
             sup = max(sup, w)
             worst_ratio = max(worst_ratio, max(v, w) / max(min(v, w), 1e-300))
-    rep.add(
-        "superposition sup",
-        "mainest-finite",
-        sup,
-        None,
-        math.isfinite(sup),
-    )
-    rep.add(
-        "refinement ratio",
-        "mainest-stable",
-        worst_ratio,
-        1.5,
-        worst_ratio <= 1.5,
-    )
+    rep.finite("superposition sup", "mainest-finite", sup)
+    rep.at_most("refinement ratio", "mainest-stable", worst_ratio, 1.5)
 
 
 def _estimates_joperator(cfg: RunConfig, rep: Report) -> None:
@@ -575,13 +478,7 @@ def _estimates_joperator(cfg: RunConfig, rep: Report) -> None:
     worst = estimates.j_domination_probe(
         p, f, cfg.r_grid, np.linspace(0.05, 0.9, 5)
     )
-    rep.add(
-        "maximal domination ratio",
-        "averaging-dominated",
-        worst,
-        None,
-        math.isfinite(worst),
-    )
+    rep.finite("maximal domination ratio", "averaging-dominated", worst)
 
 
 def _estimates_sxy(cfg: RunConfig, rep: Report) -> None:
@@ -629,15 +526,16 @@ _REPORT_ALL = {
 
 
 def run(cfg: RunConfig) -> Report:
-    """Dispatch one configuration; numerical failures become failed checks."""
+    """Dispatch one configuration; a numerical failure becomes a failed check
+    after the records made before it, and is named on stderr."""
     cfg.validate()
     runner = SUITES[cfg.command][cfg.suite] if cfg.command in SUITES else _report_all
     rep = Report(cfg.command, cfg.echo())
     try:
         runner(cfg, rep)
-    except _NUMERIC_ERRORS:
+    except _NUMERIC_ERRORS as exc:
         # a diverging computation is a failed check, never a crash
-        rep = Report(cfg.command, cfg.echo())
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         rep.add(f"{cfg.suite} completed", "no-numerical-divergence", math.nan, None, False)
     return rep
 

@@ -120,9 +120,31 @@ class Report:
     records: list = field(default_factory=list)
 
     def add(self, name, anchor, value, bound, passed, hard=True) -> None:
+        """A check with a predicate of its own; the relations below cover
+        the common ones, each recording the bound it tests."""
         self.records.append(
             CheckRecord(name, anchor, float(value), bound, bool(passed), hard)
         )
+
+    # the relations: a nan value fails each of them
+
+    def at_most(self, name, anchor, value, bound, slack=0.0) -> None:
+        """value <= bound * (1 + slack)."""
+        self.add(name, anchor, value, bound, value <= bound * (1.0 + slack))
+
+    def at_least(self, name, anchor, value, bound) -> None:
+        self.add(name, anchor, value, bound, value >= bound)
+
+    def above(self, name, anchor, value, bound) -> None:
+        self.add(name, anchor, value, bound, value > bound)
+
+    def near(self, name, anchor, value, want, tol) -> None:
+        """|value - want| <= tol; the record's bound is want."""
+        self.add(name, anchor, value, want, abs(value - want) <= tol)
+
+    def finite(self, name, anchor, value) -> None:
+        """value is finite; the record has no bound."""
+        self.add(name, anchor, value, None, math.isfinite(value))
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)

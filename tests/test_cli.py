@@ -97,6 +97,54 @@ class TestReport:
         assert set(d) == {"name", "anchor", "value", "bound", "passed", "hard"}
 
 
+def _checked(relation: str, *args, **kw) -> CheckRecord:
+    rep = Report(command="kernel", config={})
+    getattr(rep, relation)("check", "anchor", *args, **kw)
+    (rec,) = rep.records
+    assert rec.hard
+    return rec
+
+
+class TestRelations:
+    def test_value_at_the_bound_passes(self):
+        assert _checked("at_most", 1e-8, 1e-8).passed
+        assert _checked("at_least", -1e-10, -1e-10).passed
+        assert _checked("near", 1.5, 1.0, 0.5).passed
+
+    def test_each_relation_fails_past_its_bound(self):
+        assert not _checked("at_most", 2e-8, 1e-8).passed
+        assert not _checked("at_least", -2e-10, -1e-10).passed
+        assert not _checked("near", 1.5 + 1e-9, 1.0, 0.5).passed
+        assert not _checked("near", 0.5 - 1e-9, 1.0, 0.5).passed
+        assert not _checked("finite", math.inf).passed
+
+    def test_above_is_strict(self):
+        assert not _checked("above", 0.7, 0.7).passed
+        assert _checked("above", 0.7 + 1e-16, 0.7).passed
+
+    def test_slack_is_multiplicative(self):
+        # bound 3 with slack 1e-10 allows 3e-10 above it; an absolute slack of
+        # 1e-10 would fail the first check and pass the last
+        assert _checked("at_most", 3.0 + 2e-10, 3.0, slack=1e-10).passed
+        assert not _checked("at_most", 3.0 + 4e-10, 3.0, slack=1e-10).passed
+        assert not _checked("at_most", 1e-11, 0.0, slack=1e-10).passed
+
+    def test_nan_fails_every_relation(self):
+        nan = math.nan
+        for relation, args in (("at_most", (nan, 1.0)), ("at_least", (nan, 0.0)),
+                               ("above", (nan, 0.0)), ("near", (nan, 0.0, 1.0)),
+                               ("finite", (nan,))):
+            assert not _checked(relation, *args).passed, relation
+
+    def test_each_records_the_bound_it_tests(self):
+        assert _checked("near", 1.0 + 1e-12, 1.0, 1e-10).bound == 1.0
+        assert _checked("at_most", 0.5, 2.0, slack=1e-12).bound == 2.0
+        assert _checked("at_least", 0.5, 0.25).bound == 0.25
+        assert _checked("above", 0.5, 0.25).bound == 0.25
+        rec = _checked("finite", 4.0)
+        assert rec.bound is None and rec.passed
+
+
 def test_grid_csv_shape():
     rows = [(0.1, 0.5, 1.25, "series", 1e-12)]
     text = grid_csv(rows)
@@ -145,6 +193,18 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         failed = [r for r in doc["records"] if not r["passed"]]
         assert any(r["anchor"] == "no-numerical-divergence" for r in failed)
+
+    def test_numerical_failure_keeps_the_records_before_it(self, capsys, tmp_path):
+        # r = 0.5 passes; r = 0.999 meets the series cliff
+        out = tmp_path / "rep.json"
+        code = main(["kernel", "--suite", "mass", "--r", "0.5,0.999", "--out", str(out)])
+        assert code == 1
+        records = json.loads(out.read_text())["records"]
+        assert [(r["name"], r["passed"]) for r in records] == [
+            ("mass r=0.5", True), ("mass completed", False)]
+        assert records[1]["anchor"] == "no-numerical-divergence"
+        assert records[1]["value"] == "nan" and records[1]["bound"] is None
+        assert "numerical failure: ConvergenceError: " in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -28,6 +28,16 @@ CASES = {
     ],
     "abel-lp-sign": ["abel", "--suite", "lp", "--f", "sign"],
     "weights-jacobi-a1": ["weights", "--suite", "jacobi-a1"],
+    # the suites report-all leaves out, at the default config
+    "kernel-crossval": ["kernel", "--suite", "crossval"],
+    "abel-mean": ["abel", "--suite", "mean"],
+    "abel-maximal": ["abel", "--suite", "maximal"],
+    "weights-ap": ["weights", "--suite", "ap"],
+    "weights-divergence": ["weights", "--suite", "divergence"],
+    "estimates-dyadic": ["estimates", "--suite", "dyadic"],
+    "estimates-auxiliary": ["estimates", "--suite", "auxiliary"],
+    "estimates-mainest": ["estimates", "--suite", "mainest"],
+    "estimates-joperator": ["estimates", "--suite", "joperator"],
 }
 EXACT = ("name", "anchor", "bound", "passed", "hard")
 REL = 1e-12
