@@ -77,8 +77,12 @@ class RunConfig:
     def validate(self) -> None:
         if not (self.alpha > -1.0 and self.beta > -1.0):
             raise DomainError(f"need alpha, beta > -1, got ({self.alpha}, {self.beta})")
-        if len(self.r_grid) == 0 or len(self.lam_grid) == 0 or self.x_points < 2:
+        if len(self.r_grid) == 0 or len(self.lam_grid) == 0:
             raise DomainError("grids must be nonempty")
+        if self.x_points < 2:
+            raise DomainError(f"--x-points must be at least 2, got {self.x_points}")
+        if self.refine < 1:
+            raise DomainError(f"--refine must be at least 1, got {self.refine}")
         if any(not (0.0 < r < 1.0) for r in self.r_grid):
             raise DomainError("r grid must lie inside (0, 1)")
         if self.tol <= 0.0:
@@ -490,7 +494,7 @@ def _estimates_sxy(cfg: RunConfig, rep: Report) -> None:
         1.0,
         out["holds"],
     )
-    rep.add("lower rate constant", "localization-rate", out["vii"]["rate_range"][0], 0.125, out["vii"]["lower_holds"])
+    rep.at_least("lower rate constant", "localization-rate", out["vii"]["rate_range"][0], 0.125)
     for key in ("iii", "iv", "v"):
         fit = out[key].get("C2_fit", out[key].get("C_fit"))
         rep.add(f"fitted constant {key}", "box-fitted", fit, None, True, hard=False)
@@ -661,8 +665,12 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
         if cfg.fmt == "json":
             print(report.summary())
     else:

@@ -22,7 +22,7 @@ from .errors import DomainError, RegimeError
 from .kernels import AbelParameter, WatsonGeometry, watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import JacobiParams
-from .quadrature import interval_rule, sqrt_left_rule
+from .quadrature import interval_rule, piece_edges, sqrt_left_rule
 
 __all__ = [
     "PoissonTypeKernel",
@@ -308,19 +308,12 @@ def _alpha_side_integral(
     n_s: int,
     level: int,
 ) -> float:
-    """int_0^1 L(r,x,y) (1-y)^alpha f(y) dy split at y = x; the [x,1] piece
-    absorbs the (1-y)^alpha endpoint factor into its rule."""
+    """int_0^1 L(r,x,y) (1-y)^alpha f(y) dy: the measure (1-y)^alpha dy on
+    [0, 1], split at y = x, carries the endpoint factor in its weights."""
     s, w = _s_rule(ab, n_s, level)
-    total = 0.0
-    if x > 0.0:
-        yl, wl = interval_rule(0.0, x, n_y)
-        lv = _l_profile(p, ab, x, yl, s, w)
-        total += float(np.dot(wl, lv * (1.0 - yl) ** p.alpha * f(yl)))
-    if x < 1.0:
-        yr, wr = interval_rule(x, 1.0, n_y, e_left=0.0, e_right=p.alpha)
-        lv = _l_profile(p, ab, x, yr, s, w)
-        total += float(np.dot(wr, lv * (1.0 - yr) ** p.alpha * f(yr)))
-    return total
+    m = WeightedMeasure.product(((1.0, p.alpha),), (0.0, 1.0))
+    y, wy = m.cell_rules(piece_edges(0.0, 1.0, (x,)), n_y)
+    return float(np.dot(wy, _l_profile(p, ab, x, y, s, w) * f(y)))
 
 
 def mainest_integral(

@@ -70,7 +70,7 @@ def _window_grid(m: WeightedMeasure, window_family) -> np.ndarray:
 
 def _cell_sums(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Per-cell dot products of w and v on a rule with n nodes per cell."""
-    return np.array([np.dot(wc, vc) for wc, vc in zip(w.reshape(-1, n), v.reshape(-1, n))])
+    return np.einsum("ij,ij->i", w.reshape(-1, n), v.reshape(-1, n))
 
 
 def _cell_data(m: WeightedMeasure, f, grid: np.ndarray, n_quad: int):
@@ -169,17 +169,15 @@ def lateral_maximal(m: WeightedMeasure, f, a: float, side: str) -> float:
         grid = graded_breakpoints(a, sb, lean_left=True, min_scale=1e-12, n_uniform=200)
     else:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    grid, masses, integrals = _cell_data(m, f, grid, _LATERAL_NODES)
+    _, masses, integrals = _cell_data(m, f, grid, _LATERAL_NODES)
     if side == "left":
-        cm = np.cumsum(masses[::-1])
-        ci = np.cumsum(integrals[::-1])
-    else:
-        cm = np.cumsum(masses)
-        ci = np.cumsum(integrals)
-    keep = cm > 0.0
-    if not np.any(keep):
+        # every window ends at a: read the cells from a, so that each window
+        # is a running sum and not a difference of sums over the whole grid
+        masses, integrals = masses[::-1], integrals[::-1]
+    best = float(_maximal_profile(masses, integrals)[0])
+    if best == -math.inf:
         raise DegenerateInputError("every candidate window has zero mass")
-    return float(np.max(ci[keep] / cm[keep]))
+    return best
 
 
 # ---- stopping-time decomposition ----------------------------------------
@@ -213,10 +211,7 @@ def _integral_and_sup(m: WeightedMeasure, f, l: float, r: float):
     node max certifies cells that can never produce a selectable child."""
     t, w = m.cell_rules(piece_edges(l, r, getattr(f, "breakpoints", ())), _CZ_NODES)
     fv = np.asarray(f(t), dtype=float)
-    total = 0.0
-    for part in _cell_sums(w, fv, _CZ_NODES):
-        total += float(part)
-    return total, float(np.max(fv))
+    return float(np.dot(w, fv)), float(np.max(fv))
 
 
 def _merged_mass(m: WeightedMeasure, intervals) -> tuple:
@@ -243,8 +238,8 @@ def cz_decompose(m: WeightedMeasure, f, lam: float) -> CZDecomposition:
     of 1e-9 of the total. Both halves exceeding lam under a parent at or
     below lam is impossible and raises, rather than being assumed away.
     """
-    if lam <= 0.0:
-        raise DomainError(f"need a positive threshold, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"need a finite positive threshold, got {lam}")
     a, b = m.support
     probe, _ = m.quadrature_rule(256)
     fv = np.asarray(f(probe), dtype=float)
@@ -344,21 +339,20 @@ class ZygmundConstants:
 
 def _weighted_variation(kernel, m: WeightedMeasure, r: float, x: float, depth: int) -> float:
     """max of the two one-sided Stieltjes sums sum mu(x, y_i) |dK| on a
-    uniform partition of each side at the given dyadic depth."""
+    uniform partition of each side at the given dyadic depth; mu(x, y_i)
+    is a running sum of the partition's cell masses outward from x."""
     a, b = m.support
     n = 2**depth
-    cx = m.cdf(x)
     worst = 0.0
-    if b - x > 1e-14 * (b - a):
-        ys = np.linspace(x, b, n + 1)
-        kv = np.asarray(kernel(r, x, ys), dtype=float)
-        wts = np.array([m.cdf(y) for y in ys[1:]]) - cx
-        worst = max(worst, float(np.dot(wts, np.abs(np.diff(kv)))))
-    if x - a > 1e-14 * (b - a):
-        ys = np.linspace(a, x, n + 1)
-        kv = np.asarray(kernel(r, x, ys), dtype=float)
-        wts = cx - np.array([m.cdf(y) for y in ys[1:]])
-        worst = max(worst, float(np.dot(wts, np.abs(np.diff(kv)))))
+    for lo, hi, right in ((x, b, True), (a, x, False)):
+        if hi - lo > 1e-14 * (b - a):
+            ys = np.linspace(lo, hi, n + 1)
+            dk = np.abs(np.diff(np.asarray(kernel(r, x, ys), dtype=float)))
+            cm = m.cell_masses(ys)
+            # step i weighs mu between x and y_(i+1): the cells up to it on
+            # the right, the cells after it on the left (none after the last)
+            wts = np.cumsum(cm) if right else np.append(np.cumsum(cm[:0:-1])[::-1], 0.0)
+            worst = max(worst, float(np.dot(wts, dk)))
     return worst
 
 

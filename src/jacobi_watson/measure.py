@@ -180,8 +180,9 @@ class WeightedMeasure:
                 lo, hi = -r, -l
             if lo <= 0.0:
                 return hi ** (p + 1.0) / (p + 1.0)
-            # hi^(p+1) - lo^(p+1) without cancellation
-            return lo ** (p + 1.0) * math.expm1((p + 1.0) * math.log(hi / lo)) / (p + 1.0)
+            # hi^(p+1) - lo^(p+1) without cancellation; (hi - lo) / lo keeps the
+            # digits of a short interval that the rounded ratio hi / lo loses
+            return lo ** (p + 1.0) * math.expm1((p + 1.0) * math.log1p((hi - lo) / lo)) / (p + 1.0)
         if r - l < _TINY_REL * (b - a):
             return self._quad_interval_mass(l, r)
         if self.family == "jacobi":
@@ -320,7 +321,7 @@ class WeightedMeasure:
         masses take `_jacobi_mass` on arrays, product masses look the CDF
         table up in one `searchsorted`, and tiny cells and partial table cells
         sum batched 24-node rules. Power masses stay a loop over the scalar, whose libm
-        `**`, `log` and `expm1` numpy's vector versions do not match to the ulp.
+        `**`, `log1p` and `expm1` numpy's vector versions do not match to the ulp.
         """
         if self.family == "power":
             return np.array([self.interval_mass_exact(l, r) for l, r in zip(edges[:-1], edges[1:])])

@@ -393,15 +393,10 @@ def sqrt_left_rule(k: float, upper: float, layer: float, n_per_cell: int = 16,
         u *= 2.0
     edges.append(u_max)
     edges = np.asarray(sorted(set(edges)))
-    if level > 1:
-        for _ in range(level - 1):
-            edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
+    for _ in range(level - 1):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
     xi, wi = gauss_legendre(n_per_cell)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        u_nodes = mid + half * xi
-        nodes.append(k + u_nodes**2)
-        weights.append(2.0 * half * wi)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    u_nodes = mid + half * xi
+    return (k + u_nodes**2).ravel(), (2.0 * half * wi).ravel()

@@ -24,7 +24,6 @@ CUSTOM = {
     "dyadic-nesting": "a structural flag over all consecutive intervals",
     "shift-stability": "the library's verdict over two regions; the value is the worse ratio",
     "box-inequalities": "the library's verdict over six inequalities",
-    "localization-rate": "the library's verdict on the rate, computed beside the range",
     "a1-stable": "finite and strictly below twice the coarse constant",
     "l1-norm": "soft note: a reported value, never gated",
     "dyadic-domination": "soft note: a reported value, never gated",

@@ -134,3 +134,36 @@ def test_fk3_refusal_starts_at_minus_two_thirds():
         RunConfig("abel", "mean", alpha=-2.0 / 3.0, f_name="fk:3").validate()
     RunConfig("abel", "mean", alpha=0.5, beta=-0.66, f_name="fk:3").validate()
     RunConfig("abel", "mean", alpha=-0.9, beta=-0.9, f_name="pk:3").validate()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["abel", "--suite", "maximal", "--format", "csv", "--refine", "0"], "--refine must be at least 1"),
+        (["abel", "--suite", "maximal", "--refine", "-1"], "--refine must be at least 1"),
+        (["abel", "--x-points", "1"], "--x-points must be at least 2"),
+    ],
+)
+def test_refine_and_x_points_below_their_floor_are_config_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["estimates", "--suite", "poisson", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "0.7,nan"])
+def test_non_finite_threshold_is_config_error(lam, capsys):
+    assert main(["cz", "--lambda", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: need a finite positive threshold")
+    assert captured.out == ""

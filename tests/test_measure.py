@@ -182,3 +182,32 @@ class TestDoubling:
     def test_limit_approaches_three(self):
         v = dyadic_doubling_ratio_closed_form(1.7, 10**6)
         assert v == pytest.approx(3.0, rel=1e-5)
+
+
+class TestPowerMasses:
+    """Power masses of short intervals away from 0 against 40-digit mpmath:
+    hi^(p+1) - lo^(p+1) formed through log1p((hi - lo) / lo) keeps the digits
+    that the rounded ratio hi / lo loses."""
+
+    def test_cell_masses_of_a_graded_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        from jacobi_watson.harmonic import _window_grid
+
+        m = WeightedMeasure.power(-0.6)
+        grid = _window_grid(m, 256)
+        got = m.cell_masses(grid)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(0.4)
+            want = np.array(
+                [float((mpmath.mpf(r) ** s - mpmath.mpf(l) ** s) / s) for l, r in zip(grid[:-1], grid[1:])]
+            )
+        assert np.max(np.abs(got - want) / want) < 1e-15
+
+    def test_cdf_next_to_the_far_end(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = -1.0 + 1e-12
+        with mpmath.workdps(40):
+            s = mpmath.mpf(2.5)
+            want = float((1 - abs(mpmath.mpf(x)) ** s) / s)
+        got = WeightedMeasure.power(1.5, (-1.0, 0.0)).cdf(x)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
