@@ -9,7 +9,6 @@ from .errors import (
     SingularEvaluationError,
 )
 from .measure import (
-    DyadicInterval,
     WeightedMeasure,
     doubling_bracket,
     doubling_ratio,
@@ -23,7 +22,6 @@ from .polynomials import (
     QuadratureRule,
     binomial_real,
     gauss_jacobi_rule,
-    growth_bound_probe,
     jacobi_eval,
     jacobi_eval_table,
     jacobi_function_eval,
@@ -36,7 +34,6 @@ from .kernels import (
     BaileyArguments,
     WatsonGeometry,
     appell_f4,
-    dirichlet_kernel,
     kernel_mass,
     modified_watson_kernel,
     watson_kernel,
@@ -55,7 +52,6 @@ from .abel import (
     lp_convergence_probe,
     lp_norm,
     modified_abel_mean,
-    partial_sum,
     test_function_family,
     weak11_probe,
 )

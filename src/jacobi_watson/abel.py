@@ -1,8 +1,8 @@
 """Fourier-Jacobi expansions and their Abel regularization.
 
-Coefficients, partial sums, Abel means computed by the series and by the
-kernel-quadrature route, the modified (Jacobi-function) mean, the maximal
-function over the Abel parameter, and convergence diagnostics.
+Coefficients, Abel means computed by the series and by the kernel-quadrature
+route, the modified (Jacobi-function) mean, the maximal function over the Abel
+parameter, and convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "lp_convergence_probe",
     "lp_norm",
     "modified_abel_mean",
-    "partial_sum",
     "test_function_family",
     "weak11_probe",
 ]
@@ -76,11 +75,6 @@ class Expansion:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-    def energy(self) -> float:
-        """Sum of c(n)^2 h_n, the squared L2(J) norm of the represented sum."""
-        h = jacobi_norm_sequence(self.params, self.degree)
-        return float(np.sum(self.coeffs**2 * h))
 
     def __call__(self, x):
         """The represented sum, sum_n c(n) P_n(x), at each x."""
@@ -169,14 +163,6 @@ def fourier_jacobi_coefficients(
                            order, getattr(f, "breakpoints", ()))
     coeffs = np.fromiter(_coefficients(p, x, w * f(x), degree), float, degree + 1)
     return Expansion(params=p, coeffs=coeffs)
-
-
-def partial_sum(e: Expansion, m: int, x):
-    """Sum of c(n) P_n(x) for n <= m."""
-    if not (0 <= m <= e.degree):
-        raise DomainError(f"need 0 <= m <= {e.degree}, got {m}")
-    vals = jacobi_weighted_sum(e.params, e.coeffs[: m + 1], x)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def _default_terms(r: float, tol: float) -> int:

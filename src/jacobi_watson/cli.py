@@ -83,6 +83,9 @@ class RunConfig:
             raise DomainError(f"--x-points must be at least 2, got {self.x_points}")
         if self.refine < 1:
             raise DomainError(f"--refine must be at least 1, got {self.refine}")
+        if self.refine > 6:
+            # the maximal grid's top radius 1 - 2^-(8 refine) rounds to 1 past 6
+            raise DomainError(f"--refine must be at most 6, got {self.refine}")
         if any(not (0.0 < r < 1.0) for r in self.r_grid):
             raise DomainError("r grid must lie inside (0, 1)")
         if self.tol <= 0.0:
@@ -141,9 +144,9 @@ def _parse_measure(spec: str) -> WeightedMeasure:
         if head == "jacobi":
             return WeightedMeasure.jacobi(*nums)
         if head == "power":
-            if len(nums) == 1:
-                return WeightedMeasure.power(nums[0])
-            return WeightedMeasure.power(nums[0], (nums[1], nums[2]))
+            if len(nums) not in (1, 3):
+                raise DomainError(f"power takes 1 or 3 numbers, got {len(nums)}")
+            return WeightedMeasure.power(nums[0], nums[1:] or (0.0, 1.0))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad measure spec {spec!r}: {exc}") from None
     raise DomainError(f"unknown measure family {head!r}")

@@ -1,4 +1,4 @@
-"""The summability kernel in three representations, plus the Dirichlet kernel.
+"""The summability kernel in three representations.
 
 K(r, x, y) = sum_n r^n P_n(x) P_n(y) / h_n is computed by (1) direct series
 summation with a certified tail bound, streamed through the blocked
@@ -30,7 +30,6 @@ from .polynomials import (
     _half_weight,
     _jacobi_blocks,
     _norm_ratio,
-    jacobi_eval_table,
     jacobi_norm,
     jacobi_norm_sequence,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "KernelEval",
     "WatsonGeometry",
     "appell_f4",
-    "dirichlet_kernel",
     "kernel_mass",
     "modified_watson_kernel",
     "watson_kernel",
@@ -53,7 +51,6 @@ __all__ = [
     "watson_series_matrix",
 ]
 
-_CONFLUENT_GAP = 1e-6
 _BAILEY_MARGIN = 0.05
 # relative tolerance of the closed form's F4 sum
 _BAILEY_TOL = 1e-12
@@ -174,32 +171,6 @@ class KernelEval:
     method: str
     terms: int
     error_estimate: float
-
-
-def dirichlet_kernel(p: JacobiParams, m: int, x: float, y: float) -> float:
-    """Partial-sum kernel K_m(x, y) = sum_{n<=m} P_n(x) P_n(y) / h_n.
-
-    Uses the two-point closed form away from the diagonal and the direct sum
-    within a confluent window |x - y| < 1e-6.
-    """
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
-    a, b = p.alpha, p.beta
-    if abs(x - y) < _CONFLUENT_GAP:
-        tab = jacobi_eval_table(p, m, np.array([x, y]))
-        h = jacobi_norm_sequence(p, m)
-        return float(np.sum(tab[:, 0] * tab[:, 1] / h))
-    c = math.exp(
-        -(a + b) * math.log(2.0)
-        - math.log(2.0 * m + a + b + 2.0)
-        + math.lgamma(m + 2.0)
-        + math.lgamma(m + a + b + 2.0)
-        - math.lgamma(m + a + 1.0)
-        - math.lgamma(m + b + 1.0)
-    )
-    tab = jacobi_eval_table(p, m + 1, np.array([x, y]))
-    num = tab[m + 1, 0] * tab[m, 1] - tab[m, 0] * tab[m + 1, 1]
-    return c * num / (x - y)
 
 
 def _series_budget(p: JacobiParams, r: float, tol_abs: float, max_terms: int):

@@ -20,7 +20,6 @@ from .quadrature import gauss_legendre, graded_breakpoints, piece_edges, _gauss_
 
 __all__ = [
     "WeightedMeasure",
-    "DyadicInterval",
     "interval_mass",
     "equal_measure_split",
     "doubling_ratio",
@@ -82,10 +81,14 @@ class WeightedMeasure:
 
     def __post_init__(self):
         a, b = self.support
-        if not (b > a):
-            raise DegenerateInputError(f"empty support [{a}, {b}]")
         if self.family not in ("lebesgue", "jacobi", "power", "product"):
             raise DomainError(f"unknown family {self.family!r}")
+        if not np.all(np.isfinite([a, b, *(v for f in self._factors() for v in f)])):
+            raise DomainError(
+                f"need finite ends and exponents, got {self.family} {self.params} on [{a}, {b}]"
+            )
+        if not (b > a):
+            raise DegenerateInputError(f"empty support [{a}, {b}]")
         for c, e in self._factors():
             if e <= -1.0:
                 raise DomainError(f"factor exponent {e} at {c} is not integrable")
@@ -120,20 +123,6 @@ class WeightedMeasure:
         """Density prod |x - c|^e for (c, e) pairs in `factors`."""
         params = tuple((float(c), float(e)) for c, e in factors)
         return cls("product", params, (float(support[0]), float(support[1])))
-
-    # ---- descriptor serialization --------------------------------------
-
-    def to_descriptor(self) -> dict:
-        params = [list(f) for f in self.params] if self.family == "product" else list(self.params)
-        return {"family": self.family, "params": params, "support": list(self.support)}
-
-    @classmethod
-    def from_descriptor(cls, d: dict) -> "WeightedMeasure":
-        family = d["family"]
-        support = tuple(float(v) for v in d["support"])
-        if family == "product":
-            return cls.product(d["params"], support)
-        return cls(family, tuple(float(v) for v in d["params"]), support)
 
     # ---- density -------------------------------------------------------
 
@@ -358,28 +347,6 @@ class WeightedMeasure:
             return self.cell_rule(a, b, n)
         bp, _ = self._cumulative_table()
         return self.cell_rules(bp, max(8, n // 8))
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The interval [k 2^-j, (k+1) 2^-j] with its concentric triple."""
-
-    k: int
-    j: int
-
-    def __post_init__(self):
-        if self.k < 0 or self.j < 0:
-            raise DomainError(f"need k >= 0 and j >= 0, got k={self.k}, j={self.j}")
-
-    @property
-    def endpoints(self):
-        h = 2.0 ** (-self.j)
-        return (self.k * h, (self.k + 1) * h)
-
-    @property
-    def triple(self):
-        h = 2.0 ** (-self.j)
-        return ((self.k - 1) * h, (self.k + 2) * h)
 
 
 def _check_inside(m: WeightedMeasure, interval) -> tuple:

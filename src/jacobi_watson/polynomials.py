@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeError, SingularEvaluationError
+from .errors import DomainError, SingularEvaluationError
 from .quadrature import _gauss_jacobi_raw
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "QuadratureRule",
     "binomial_real",
     "gauss_jacobi_rule",
-    "growth_bound_probe",
     "jacobi_eval",
     "jacobi_eval_table",
     "jacobi_function_eval",
@@ -58,7 +57,8 @@ class JacobiParams:
 
 
 def binomial_real(top: float, n: int) -> float:
-    """Generalized binomial coefficient C(top, n) for real top > -1 + n... safe range."""
+    """Generalized binomial coefficient C(top, n) = Gamma(top + 1) / (Gamma(top - n + 1) n!)
+    for real top > n - 1, where every gamma is positive; log-gamma drops signs below that."""
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     return math.exp(
@@ -298,23 +298,6 @@ def _half_weight(p: JacobiParams, x):
     return (1.0 - x) ** (0.5 * p.alpha) * (1.0 + x) ** (0.5 * p.beta)
 
 
-def growth_bound_probe(p: JacobiParams, n_max: int) -> float:
-    """Fit C in sup |P_n| <= C n^(q+1/2), q = max(alpha, beta) >= -1/2.
-
-    Returns the sup over 1 <= n <= n_max and a 400-point cosine-spaced x grid
-    (endpoints included) of |P_n(x)| / n^(q+1/2). The profile decays after
-    small n, so the returned constant stops growing once n_max clears the
-    first few degrees.
-    """
-    if p.q < -0.5:
-        raise RegimeError(
-            f"growth bound requires max(alpha, beta) >= -1/2, got q = {p.q}"
-        )
-    if n_max < 1:
-        raise DomainError(f"need n_max >= 1, got {n_max}")
-    return _growth_constant(p, n_max, 400)
-
-
 def _growth_constant(p: JacobiParams, n_max: int = 64, grid_size: int = 200) -> float:
     """Internal growth-constant fit with q clamped to -1/2 (valid for all params)."""
     q_eff = max(p.q, -0.5)
@@ -330,10 +313,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
     def integrate(self, f) -> float:
         """Integrate a callable (or an array of node values) against the rule."""

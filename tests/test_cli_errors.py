@@ -167,3 +167,34 @@ def test_non_finite_threshold_is_config_error(lam, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: need a finite positive threshold")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "power:0.5,0",
+        "power:",
+        "power:0.5,0,1,2",
+        "jacobi:nan,0",
+        "jacobi:0,inf",
+        "power:inf",
+        "lebesgue:0,inf",
+        "lebesgue:-inf,0",
+    ],
+)
+def test_malformed_or_non_finite_measure_is_config_error(spec, capsys):
+    # power takes 1 or 3 numbers; every end and exponent must be finite
+    assert main(["cz", "--measure", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: bad measure spec {spec!r}")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_refine_past_six_is_config_error(fmt, capsys):
+    # the maximal grid's top radius 1 - 2^-(8 refine) rounds to 1.0 from refine 7
+    assert main(["abel", "--suite", "maximal", "--format", fmt, "--refine", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: --refine must be at most 6, got 7\n"
+    assert captured.out == ""

@@ -15,11 +15,8 @@ from jacobi_watson import (
     JacobiParams,
     WatsonGeometry,
     appell_f4,
-    dirichlet_kernel,
     gauss_jacobi_rule,
-    jacobi_eval,
     jacobi_eval_table,
-    jacobi_norm,
     jacobi_norm_sequence,
     kernel_mass,
     modified_watson_kernel,
@@ -76,17 +73,6 @@ def test_appell_f4_symmetry():
     got = appell_f4(0.7, 1.3, 0.9, 1.1, 0.2, 0.15)
     swapped = appell_f4(1.3, 0.7, 0.9, 1.1, 0.2, 0.15)
     assert got == pytest.approx(swapped, rel=1e-13)
-
-
-def test_dirichlet_kernel_is_the_partial_sum():
-    p = JacobiParams(0.5, 0.3)
-    x, y = 0.4, -0.2
-    for m in (0, 3, 9):
-        want = sum(
-            jacobi_eval(p, n, x) * jacobi_eval(p, n, y) / jacobi_norm(p, n)
-            for n in range(m + 1)
-        )
-        assert dirichlet_kernel(p, m, x, y) == pytest.approx(want, rel=1e-12)
 
 
 class TestRouteAgreement:
