@@ -83,9 +83,9 @@ class WeightedMeasure:
         a, b = self.support
         if self.family not in ("lebesgue", "jacobi", "power", "product"):
             raise DomainError(f"unknown family {self.family!r}")
-        if not np.all(np.isfinite([a, b, *(v for f in self._factors() for v in f)])):
+        if not all(map(math.isfinite, (a, b, *sum(self._factors(), ())))):
             raise DomainError(
-                f"need finite ends and exponents, got {self.family} {self.params} on [{a}, {b}]"
+                f"need finite numbers, got {self.family} {self.params} on [{a}, {b}]"
             )
         if not (b > a):
             raise DegenerateInputError(f"empty support [{a}, {b}]")
