@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import AbelParameter, _absorbing_rule, _kernel_cells, _kernel_edges
+from .kernels import AbelParameter, _absorbing_rule, _kernel_cells
 from .kernels import watson_series_matrix
 from .measure import WeightedMeasure
 from .polynomials import (
@@ -384,46 +384,27 @@ def abel_mean(f, p: JacobiParams, ab: AbelParameter, x, route: str = "series"):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def modified_abel_mean(
-    f,
-    p: JacobiParams,
-    ab: AbelParameter,
-    x: float,
-    route: str = "halfweight",
-    order: int = 160,
-) -> float:
+def modified_abel_mean(f, p: JacobiParams, ab: AbelParameter, x, route: str = "halfweight"):
     """Abel mean of the Jacobi-function expansion, a Lebesgue-measure integral
-    of the half-weighted kernel, at a scalar x.
+    of the half-weighted kernel; x may be scalar or an array.
 
-    route "halfweight" is hw(x) times the Abel mean of f / hw at tolerance
-    1e-12 (`_as_expansion`), with hw = (1-y)^(a/2) (1+y)^(b/2), declared with
-    f's breakpoints and f's exponents less hw's, so its rules absorb hw. The
-    reference route "lebesgue" integrates the full modified-kernel integrand
-    (the Watson series) on the Lebesgue measure's Gauss-Legendre cells
-    (`WeightedMeasure.cell_rules`): the kernel cells' edges at x and f's
-    breakpoints (`kernels._kernel_edges`), with cells graded toward +-1 down
-    to 1e-12, since Lebesgue cells do not absorb the endpoint powers;
-    `order` sizes its cells. The two routes share no nodes or weights.
+    It is hw(x) times the Abel mean of g = f / hw, with
+    hw = (1-y)^(a/2) (1+y)^(b/2), and g declared with f's breakpoints and f's
+    exponents less hw's, so its rules absorb hw. route "halfweight" sums the
+    damped expansion of g at tolerance 1e-12 (`_as_expansion`); the reference
+    route "lebesgue" is `abel_mean`'s kernel route on g.
     """
-    r = ab.r
-    wx = _half_weight(p, x)
+    el, er = getattr(f, "exponents", (0.0, 0.0))
+    g = TestFunction("f/hw", lambda y: f(y) / _half_weight(p, y), getattr(f, "breakpoints", ()),
+                     exponents=(el - 0.5 * p.beta, er - 0.5 * p.alpha))
     if route == "halfweight":
-        el, er = getattr(f, "exponents", (0.0, 0.0))
-        g = TestFunction("f/hw", lambda y: f(y) / _half_weight(p, y), getattr(f, "breakpoints", ()),
-                         exponents=(el - 0.5 * p.beta, er - 0.5 * p.alpha))
-        e = _as_expansion(g, p, r, 1e-12)
-        return wx * float(_damped_sum(e, np.array([r]), x)[0, 0])
-    if route != "lebesgue":
+        vals = _damped_sum(_as_expansion(g, p, ab.r, 1e-12), np.array([ab.r]), x)[0]
+    elif route == "lebesgue":
+        vals = np.atleast_1d(abel_mean(g, p, ab, x, route="kernel"))
+    else:
         raise DomainError(f"unknown route {route!r}")
-    # Lebesgue cells leave hw's end powers unabsorbed, so the cells graded
-    # toward +-1 integrate a singularity: on sign at (0.9, -0.9), r = 0.5,
-    # this route misses the halfweight one by 3.2e-9 at x = -0.9
-    # (3.4e-10 at x = 0)
-    kernel = _kernel_edges(ab, [x], getattr(f, "breakpoints", ()))
-    edges = np.unique(np.concatenate([graded_grid(-1.0, 1.0, min_scale=1e-12), kernel]))
-    ynodes, yweights = WeightedMeasure.lebesgue(-1.0, 1.0).cell_rules(edges, max(12, order // 8))
-    row, _, _ = watson_series_matrix(p, r, np.array([float(x)]), ynodes)
-    return wx * float(np.dot(yweights, row[0] * _half_weight(p, ynodes) * f(ynodes)))
+    vals = _half_weight(p, x) * vals
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def default_r_grid(levels: int = 12) -> np.ndarray:

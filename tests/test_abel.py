@@ -85,8 +85,9 @@ class TestDualRoutes:
                 assert h == pytest.approx(l, abs=1e-9)
 
     def test_kinked_function_agrees_coarsely(self):
-        # clipping kinks are not in the lebesgue route's cell grading, so
-        # agreement degrades to quadrature-across-a-kink level
+        # clipped declares its kink, so both routes split there; the gap left
+        # (3.3e-9 here) is the series route's miss at a kink that never
+        # plateaus (ROADMAP item 3), which grows toward r = 0.5 and x -> 1
         p = JacobiParams(0.5, 0.3)
         f = family(p)["clipped"]
         h = modified_abel_mean(f, p, AbelParameter(0.9), 0.0, route="halfweight")

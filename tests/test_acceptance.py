@@ -264,22 +264,22 @@ def test_c12_function_window_ratio_stable():
     tags = ("const", "bump", "clipped", "pk:3")
     rs = (0.6, 0.9, 0.99)
 
-    def fitted(order):
-        xq, wq = interval_rule(-1.0, 1.0, 16, e_left=-0.5, e_right=-0.5)
+    def fitted(nodes):
+        # the outer x-rule is the refined quantity: the means come from one
+        # expansion per (f, r), evaluated on all nodes at once
+        xq, wq = interval_rule(-1.0, 1.0, nodes, e_left=-0.5, e_right=-0.5)
         worst = 0.0
         for tag in tags:
             f = fam[tag]
             denom = _flat_l2_norm(f, getattr(f, "breakpoints", ()))
             for r in rs:
-                ab = AbelParameter(r)
-                vals = np.array(
-                    [modified_abel_mean(f, p, ab, float(x), order=order) for x in xq]
-                )
+                vals = modified_abel_mean(f, p, AbelParameter(r), xq)
                 num = math.sqrt(float(np.dot(wq, vals * vals)))
                 worst = max(worst, num / denom)
         return worst
 
-    c160 = fitted(160)
-    c320 = fitted(320)
-    assert math.isfinite(c160) and math.isfinite(c320)
-    assert abs(c320 - c160) <= 0.25 * c160
+    c16 = fitted(16)
+    c32 = fitted(32)
+    assert math.isfinite(c16) and math.isfinite(c32)
+    assert c16 != c32
+    assert abs(c32 - c16) <= 0.25 * c16

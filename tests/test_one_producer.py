@@ -7,13 +7,13 @@ name or attribute. Gauss-Jacobi rules are cached once, in
 `quadrature._gauss_jacobi_raw` (which shares `gauss_legendre`'s Legendre
 rules); `polynomials._roots_jacobi_cached` only reads it. The integrals of
 the Watson kernel take their cells from one helper, `kernels._kernel_cells`,
-or its edge function `_kernel_edges`, and choose no rule of their own. In
-`abel.py` only `_as_expansion` projects (`_project`, `_project_residual`);
-the halfweight route of `modified_abel_mean` is a call of it. No function
-there builds a rule itself (`quadrature_rule`, `cell_rules`) except the
-`lebesgue` reference of `modified_abel_mean`: the others take rules that
-absorb f's declared exponents (`_absorbing_rule`). The measure layer inverts
-mu once (`measure._invert_mass`); `harmonic.py` bisects for no mass itself.
+and choose no rule of their own; `modified_abel_mean` reaches the kernel only
+through `abel_mean`. In `abel.py` only `_as_expansion` projects (`_project`,
+`_project_residual`); the halfweight route of `modified_abel_mean` is a call
+of it. No function there builds a rule itself (`quadrature_rule`,
+`cell_rules`): each takes rules that absorb f's declared exponents
+(`_absorbing_rule`). The measure layer inverts mu once
+(`measure._invert_mass`); `harmonic.py` bisects for no mass itself.
 """
 
 import ast
@@ -57,7 +57,7 @@ def test_kernel_integrals_take_the_kernel_cells():
     helpers = {
         ("kernels.py", "kernel_mass"): "_kernel_cells",
         ("abel.py", "abel_mean"): "_kernel_cells",
-        ("abel.py", "modified_abel_mean"): "_kernel_edges",
+        ("abel.py", "modified_abel_mean"): "abel_mean",
     }
     for (module, name), helper in helpers.items():
         tree = ast.parse((SRC / module).read_text(), filename=module)
@@ -65,6 +65,9 @@ def test_kernel_integrals_take_the_kernel_cells():
         called = _called_names(fn)
         assert helper in called, name
         assert not called & {"quadrature_rule", "gauss_jacobi_rule", "graded_breakpoints"}, name
+    # the function-expansion mean is a view: its kernel integral is abel_mean's
+    called = _called_names(_functions("abel.py")["modified_abel_mean"])
+    assert not called & {"_kernel_cells", "_kernel_edges", "watson_series_matrix"}
 
 
 def _functions(module: str) -> dict:
@@ -83,11 +86,9 @@ def test_abel_projects_only_in_as_expansion():
     assert "_as_expansion" in called
     rule_builders = {"_gauss_jacobi_raw", "gauss_jacobi_rule", "gauss_legendre", "quadrature_rule"}
     assert not called & rule_builders
-    # every other rule against J comes through `_absorbing_rule`; the one
-    # rule built here is the `lebesgue` reference's, on Lebesgue cells
+    # every rule against J comes through `_absorbing_rule`
     for name, fn in functions.items():
-        builds = _called_names(fn) & {"quadrature_rule", "cell_rules"}
-        assert builds == ({"cell_rules"} if name == "modified_abel_mean" else set()), name
+        assert not _called_names(fn) & {"quadrature_rule", "cell_rules"}, name
 
 
 def test_harmonic_inverts_no_mass_of_its_own():
